@@ -4,7 +4,7 @@
 # (fault injection, deadlines, graceful degradation) runs a second,
 # focused pass so a fault-harness regression is reported by name, and
 # efeslint enforces the cross-cutting invariants (DESIGN.md §8).
-.PHONY: verify build test bench bench-smoke faults lint efesd-smoke
+.PHONY: verify build test bench bench-smoke faults lint efesd-smoke fuzz
 
 verify:
 	go build ./...
@@ -32,6 +32,14 @@ faults:
 efesd-smoke:
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/
 
+# Fuzz the CSV ingest (relational.ReadCSV) against its reference decoder
+# for a bounded time; the committed seed corpus already runs in every
+# `go test`. A crasher lands in internal/relational/testdata/fuzz and
+# stays there as a regression seed once fixed.
+FUZZTIME ?= 30s
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/relational/
+
 build:
 	go build ./...
 
@@ -58,10 +66,15 @@ bench:
 # kernels the same way: ProfileDatabaseLarge ran ~15 ms at BENCH_6 and
 # must not creep back toward the row-path regime — 75 ms applies the
 # same ~5x slow-hardware headroom — and the sharded variant must not
-# cost more than the single-worker pass it parallelizes.
+# cost more than the single-worker pass it parallelizes. The fourth gates
+# the CSV ingest: IngestLarge (ReadCSV of the rendered LargeExampleConfig
+# scenario straight into column vectors) ran ~25 ms on the reference
+# machine, and 125 ms applies the same ~5x headroom.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
 		-out '' -assert BenchmarkFullEstimateLarge=250ms
 	go run ./cmd/benchjson -bench '^BenchmarkProfileDatabaseLarge(Sharded)?$$' -benchtime 3x \
 		-out '' -assert 'BenchmarkProfileDatabaseLarge=75ms,BenchmarkProfileDatabaseLargeSharded=75ms'
+	go run ./cmd/benchjson -bench '^BenchmarkIngestLarge$$' -benchtime 3x \
+		-out '' -assert BenchmarkIngestLarge=125ms

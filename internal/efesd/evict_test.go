@@ -191,3 +191,52 @@ func TestConcurrentUploadEvict(t *testing.T) {
 		t.Error("no LRU evictions despite 24 uploads into a cap of 3")
 	}
 }
+
+// TestProfilerMemoBoundedByResidentScenarios pins the release of the
+// shared profiler's memo, which keys profiles by database instance: a
+// replaced upload, an LRU-evicted scenario and a TTL-expired one must
+// each drop their profiles, so the memo never holds more than the
+// resident scenarios' worth however many versions were uploaded.
+func TestProfilerMemoBoundedByResidentScenarios(t *testing.T) {
+	clock := newFakeClock()
+	s, ts := newTestServer(t, Config{MaxScenarios: 2, ScenarioTTL: time.Minute, Now: clock.Now})
+	uploadAndEstimate := func(tenant string) {
+		t.Helper()
+		hdr := map[string]string{"X-Efes-Tenant": tenant}
+		uploadMusic(t, ts.URL, hdr)
+		if resp, data := post(t, ts.URL+"/v1/estimate", estimateBody(musicName, ""), hdr); resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate status = %d: %s", resp.StatusCode, data)
+		}
+	}
+
+	uploadAndEstimate("a")
+	per := s.Profiler().Len()
+	if per == 0 {
+		t.Fatal("an estimate memoized no profiles")
+	}
+	// Re-uploads under one key replace the scenario: only the latest
+	// version's profiles stay.
+	for i := 0; i < 5; i++ {
+		uploadAndEstimate("a")
+	}
+	if got := s.Profiler().Len(); got != per {
+		t.Errorf("after 6 uploads under one key: %d profiles, want %d (one resident scenario)", got, per)
+	}
+	// Three tenants into a cap of two: the evicted one's profiles go.
+	uploadAndEstimate("b")
+	uploadAndEstimate("c")
+	if st := status(t, ts.URL); st.Scenarios != 2 || st.ScenariosEvictedLRU != 1 {
+		t.Fatalf("resident %d, LRU evictions %d; want 2 and 1", st.Scenarios, st.ScenariosEvictedLRU)
+	}
+	if got := s.Profiler().Len(); got != 2*per {
+		t.Errorf("after an LRU eviction: %d profiles, want %d (two resident scenarios)", got, 2*per)
+	}
+	// The TTL sweep releases the rest.
+	clock.Advance(2 * time.Minute)
+	if st := status(t, ts.URL); st.Scenarios != 0 {
+		t.Fatalf("resident scenarios after the TTL sweep = %d, want 0", st.Scenarios)
+	}
+	if got := s.Profiler().Len(); got != 0 {
+		t.Errorf("after the TTL sweep: %d profiles, want 0", got)
+	}
+}

@@ -147,7 +147,7 @@ type scenarioInfo struct {
 func (s *Server) handleListScenarios(w http.ResponseWriter, r *http.Request) {
 	prefix := tenant(r) + "\x00"
 	s.mu.Lock()
-	s.sweepExpiredLocked()
+	gone := s.sweepExpiredLocked()
 	infos := make([]scenarioInfo, 0, len(s.scenarios))
 	for key, e := range s.scenarios {
 		if name, ok := strings.CutPrefix(key, prefix); ok {
@@ -155,6 +155,7 @@ func (s *Server) handleListScenarios(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
+	s.forget(gone...)
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, http.StatusOK, map[string]any{"scenarios": infos})
 }
@@ -227,6 +228,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario %q", req.Scenario))
 		return
 	}
+	defer s.release(entry)
 	// The key carries the profiler's mode fingerprint: an approx-mode
 	// daemon and an exact-mode consumer of the same cache directory can
 	// never serve each other's entries.
@@ -362,6 +364,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario %q", req.Scenario))
 		return
 	}
+	defer s.release(entry)
 	db, ok := resolveDB(entry, req.DB)
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown database %q", req.DB))
@@ -407,6 +410,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown scenario %q", req.Scenario))
 		return
 	}
+	defer s.release(entry)
 	db, ok := resolveDB(entry, req.Source)
 	if !ok || req.Source == "" || req.Source == "target" {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown source %q", req.Source))
@@ -465,9 +469,10 @@ type statusResponse struct {
 
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	s.sweepExpiredLocked()
+	gone := s.sweepExpiredLocked()
 	scenarios := len(s.scenarios)
 	s.mu.Unlock()
+	s.forget(gone...)
 	hits, misses := s.prof.Counters()
 	diskHits, computes := s.prof.DiskCounters()
 	resp := statusResponse{

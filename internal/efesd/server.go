@@ -107,6 +107,8 @@ type scenarioEntry struct {
 	// lastUsed is the injected-clock time of the last touch; zero when
 	// the server has no clock (TTL then never expires anything).
 	lastUsed time.Time //efes:guardedby mu — Server.mu
+	// evicted is set when the entry leaves the store (see evict.go).
+	evicted bool //efes:guardedby mu — Server.mu
 }
 
 // Server is the estimation daemon. It implements http.Handler; all
@@ -270,22 +272,25 @@ func tenant(r *http.Request) string {
 
 // lookup resolves a scenario name within the request's tenant. A hit
 // touches the entry's recency; a TTL-expired entry is evicted on the
-// spot and reported as a miss (the client re-uploads).
+// spot and reported as a miss (the client re-uploads). The caller
+// releases a found entry when it is done with it (see release).
 func (s *Server) lookup(r *http.Request, name string) (*scenarioEntry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	key := tenant(r) + "\x00" + name
+	s.mu.Lock()
 	e, ok := s.scenarios[key]
-	if !ok {
-		return nil, false
-	}
-	if s.expiredLocked(e) {
-		delete(s.scenarios, key)
+	expired := ok && s.expiredLocked(e)
+	if expired {
+		s.removeLocked(key, e)
 		s.evictedTTL.Add(1)
+	} else if ok {
+		s.touchLocked(e)
+	}
+	s.mu.Unlock()
+	if expired {
+		s.forget(e)
 		return nil, false
 	}
-	s.touchLocked(e)
-	return e, true
+	return e, ok
 }
 
 // writeJSON writes a JSON response body with the given status.

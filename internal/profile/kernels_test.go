@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -77,6 +78,14 @@ func randomValue(rng *rand.Rand, typ relational.Type) relational.Value {
 
 // randomDB builds a one-column instance of the given type with n rows.
 func randomDB(t *testing.T, rng *rand.Rand, typ relational.Type, n int) *relational.Database {
+	db, _ := randomDBModel(t, rng, typ, n)
+	return db
+}
+
+// randomDBModel is randomDB that also returns the inserted values: a
+// model of the column kept apart from the store, so the mutation suites
+// check the vectors against something they do not derive from.
+func randomDBModel(t *testing.T, rng *rand.Rand, typ relational.Type, n int) (*relational.Database, []relational.Value) {
 	t.Helper()
 	s := relational.NewSchema("prop")
 	tab, err := relational.NewTable("t", relational.Column{Name: "c", Type: typ})
@@ -87,10 +96,44 @@ func randomDB(t *testing.T, rng *rand.Rand, typ relational.Type, n int) *relatio
 		t.Fatalf("AddTable: %v", err)
 	}
 	db := relational.NewDatabase(s)
+	model := make([]relational.Value, 0, n)
 	for i := 0; i < n; i++ {
-		db.MustInsert("t", randomValue(rng, typ))
+		v := randomValue(rng, typ)
+		db.MustInsert("t", v)
+		model = append(model, v)
 	}
-	return db
+	return db, model
+}
+
+// deleteFromModel applies Database.Delete's semantics to the model:
+// duplicate and out-of-range indexes are ignored.
+func deleteFromModel(model []relational.Value, idx ...int) []relational.Value {
+	drop := make(map[int]bool, len(idx))
+	for _, i := range idx {
+		drop[i] = true
+	}
+	out := model[:0]
+	for i, v := range model {
+		if !drop[i] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// checkModel requires the store's column to hold exactly the model's
+// values (compared by type and rendering, so NaNs compare equal).
+func checkModel(t *testing.T, ctx string, db *relational.Database, model []relational.Value) {
+	t.Helper()
+	got := db.MustColumn("t", "c")
+	if len(got) != len(model) {
+		t.Fatalf("%s: %d rows, model %d", ctx, len(got), len(model))
+	}
+	for i, v := range model {
+		if fmt.Sprintf("%T", v) != fmt.Sprintf("%T", got[i]) || relational.FormatValue(v) != relational.FormatValue(got[i]) {
+			t.Fatalf("%s: row %d: store %#v, model %#v", ctx, i, got[i], v)
+		}
+	}
 }
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -214,35 +257,41 @@ func TestKernelsBitIdenticalToRowPath(t *testing.T) {
 }
 
 // TestKernelsAfterMutations exercises the incremental maintenance path:
-// vectors are materialized first, then the instance is mutated through
-// Insert/Update/Delete, and the kernels must still agree with the row
-// path bit for bit.
+// the instance is mutated through Insert/Update/Delete, the same changes
+// are applied to an independent model of the column, and the store must
+// match the model while the kernels agree with the row path on the
+// model's values bit for bit.
 func TestKernelsAfterMutations(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, typ := range allTypes {
-			db := randomDB(t, rng, typ, 120)
-			if db.Vector("t", "c") == nil { // materialize before mutating
-				t.Fatal("Vector returned nil")
-			}
+			db, model := randomDBModel(t, rng, typ, 120)
 			for step := 0; step < 60; step++ {
 				n := db.NumRows("t")
 				switch op := rng.Intn(4); {
 				case op == 0 || n == 0:
-					db.MustInsert("t", randomValue(rng, typ))
+					v := randomValue(rng, typ)
+					db.MustInsert("t", v)
+					model = append(model, v)
 				case op == 1:
-					if err := db.Update("t", rng.Intn(n), "c", randomValue(rng, typ)); err != nil {
+					i, v := rng.Intn(n), randomValue(rng, typ)
+					if err := db.Update("t", i, "c", v); err != nil {
 						t.Fatalf("Update: %v", err)
 					}
+					model[i] = v
 				case op == 2:
-					db.Delete("t", rng.Intn(n))
+					i := rng.Intn(n)
+					db.Delete("t", i)
+					model = deleteFromModel(model, i)
 				default:
-					db.Delete("t", rng.Intn(n), rng.Intn(n), n+5) // dups and out-of-range are ignored
+					idx := []int{rng.Intn(n), rng.Intn(n), n + 5} // dups and out-of-range are ignored
+					db.Delete("t", idx...)
+					model = deleteFromModel(model, idx...)
 				}
 			}
-			values := db.MustColumn("t", "c")
+			checkModel(t, typ.String()+"/mutated", db, model)
 			vec := db.Vector("t", "c")
-			statsEqual(t, typ.String()+"/mutated", Values("t", "c", typ, values), FromVector("t", "c", vec))
+			statsEqual(t, typ.String()+"/mutated", Values("t", "c", typ, model), FromVector("t", "c", vec))
 			// The memoized sorted distinct must match the row path's too.
 			distinct, _, err := db.DistinctValues("t", "c")
 			if err != nil {

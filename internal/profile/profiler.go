@@ -98,8 +98,9 @@ type profileEntry struct {
 // once per process, however many correspondences refer to it.
 //
 // Entries key the database by pointer identity and therefore keep the
-// instance alive; call Reset to release a long-lived Profiler's memory
-// between unrelated workloads.
+// instance alive. A long-lived Profiler must release an instance once it
+// is done with it: Forget drops one instance's entries (efesd calls it
+// whenever a scenario leaves its store), Reset drops everything.
 //
 //efes:daemon-lifetime
 type Profiler struct {
@@ -332,21 +333,11 @@ func (p *Profiler) ColumnContextMode(ctx context.Context, db *relational.Databas
 	}
 	key := profileKey{db: db, table: table, column: column, typ: col.Type, mode: mode}
 	cs, _, err := p.get(ctx, key, func() (*ColumnStats, int, error) {
-		if vec := db.Vector(table, column); vec != nil {
-			if mode == ModeApprox {
-				return FromVectorApprox(table, column, vec, p.workers), 0, nil
-			}
-			return FromVectorSharded(table, column, vec, p.workers), 0, nil
-		}
-		values, err := db.Column(table, column)
-		if err != nil {
-			return nil, 0, err
-		}
-		stats := Values(table, column, col.Type, values)
+		vec := db.Vector(table, column)
 		if mode == ModeApprox {
-			stats.Approx = exactApproxInfo() // row-path fallback: exact, marked
+			return FromVectorApprox(table, column, vec, p.workers), 0, nil
 		}
-		return stats, 0, nil
+		return FromVectorSharded(table, column, vec, p.workers), 0, nil
 	})
 	return cs, err
 }
@@ -372,33 +363,16 @@ func (p *Profiler) ColumnCoercedContext(ctx context.Context, db *relational.Data
 func (p *Profiler) ColumnCoercedContextMode(ctx context.Context, db *relational.Database, table, column string, typ relational.Type, mode Mode) (*ColumnStats, int, error) {
 	key := profileKey{db: db, table: table, column: column, typ: typ, coerced: true, mode: mode}
 	return p.get(ctx, key, func() (*ColumnStats, int, error) {
-		if vec := db.Vector(table, column); vec != nil {
-			if mode == ModeApprox {
-				cs, incompatible := FromVectorCoercedApprox(table, column, vec, typ, p.workers)
-				return cs, incompatible, nil
-			}
-			cs, incompatible := FromVectorCoercedSharded(table, column, vec, typ, p.workers)
+		vec := db.Vector(table, column)
+		if vec == nil {
+			return nil, 0, fmt.Errorf("profile: unknown column %s.%s", table, column)
+		}
+		if mode == ModeApprox {
+			cs, incompatible := FromVectorCoercedApprox(table, column, vec, typ, p.workers)
 			return cs, incompatible, nil
 		}
-		values, err := db.Column(table, column)
-		if err != nil {
-			return nil, 0, err
-		}
-		coerced := make([]relational.Value, 0, len(values))
-		incompatible := 0
-		for _, v := range values {
-			cv, err := relational.Coerce(typ, v)
-			if err != nil {
-				incompatible++
-				continue
-			}
-			coerced = append(coerced, cv)
-		}
-		stats := Values(table, column, typ, coerced)
-		if mode == ModeApprox {
-			stats.Approx = exactApproxInfo() // row-path fallback: exact, marked
-		}
-		return stats, incompatible, nil
+		cs, incompatible := FromVectorCoercedSharded(table, column, vec, typ, p.workers)
+		return cs, incompatible, nil
 	})
 }
 
@@ -512,6 +486,20 @@ func (p *Profiler) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return len(p.entries)
+}
+
+// Forget drops every cached profile of one database instance, releasing
+// the reference that pins it in memory. A lookup still in flight for the
+// instance may store its entry afterwards; a caller that cannot rule that
+// out calls Forget again once the lookup has returned.
+func (p *Profiler) Forget(db *relational.Database) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for key := range p.entries {
+		if key.db == db {
+			delete(p.entries, key)
+		}
+	}
 }
 
 // Reset drops every cached profile and zeroes the counters, releasing the

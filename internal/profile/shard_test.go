@@ -126,36 +126,42 @@ func TestShardedMultiChunkDictionary(t *testing.T) {
 
 // TestShardedAfterMutations mutates a multi-chunk column through the
 // incremental maintenance path — including deletes that shift rows
-// across the chunk boundary — and requires the sharded kernels to agree
-// with the row path bit for bit afterwards.
+// across the chunk boundary — applies the same changes to an independent
+// model of the column, and requires the store to match the model and the
+// sharded kernels to agree with the row path on it bit for bit.
 func TestShardedAfterMutations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk columns are slow to build")
 	}
 	rng := rand.New(rand.NewSource(99))
 	for _, typ := range []relational.Type{relational.Integer, relational.String} {
-		db := randomDB(t, rng, typ, relational.ChunkSize+300)
-		if db.Vector("t", "c") == nil {
-			t.Fatal("Vector returned nil")
-		}
+		db, model := randomDBModel(t, rng, typ, relational.ChunkSize+300)
 		for step := 0; step < 25; step++ {
 			n := db.NumRows("t")
 			switch op := rng.Intn(4); {
 			case op == 0 || n == 0:
-				db.MustInsert("t", randomValue(rng, typ))
+				v := randomValue(rng, typ)
+				db.MustInsert("t", v)
+				model = append(model, v)
 			case op == 1:
-				if err := db.Update("t", rng.Intn(n), "c", randomValue(rng, typ)); err != nil {
+				i, v := rng.Intn(n), randomValue(rng, typ)
+				if err := db.Update("t", i, "c", v); err != nil {
 					t.Fatalf("Update: %v", err)
 				}
+				model[i] = v
 			case op == 2:
-				db.Delete("t", rng.Intn(n))
+				i := rng.Intn(n)
+				db.Delete("t", i)
+				model = deleteFromModel(model, i)
 			default:
-				db.Delete("t", relational.ChunkSize-2+rng.Intn(5)) // straddle the boundary
+				i := relational.ChunkSize - 2 + rng.Intn(5) // straddle the boundary
+				db.Delete("t", i)
+				model = deleteFromModel(model, i)
 			}
 		}
-		values := db.MustColumn("t", "c")
+		checkModel(t, typ.String()+"/mutated", db, model)
 		vec := db.Vector("t", "c")
-		want := Values("t", "c", typ, values)
+		want := Values("t", "c", typ, model)
 		for _, workers := range shardWorkerCounts {
 			ctx := typ.String() + "/mutated/w" + strconv.Itoa(workers)
 			statsEqual(t, ctx, want, FromVectorSharded("t", "c", vec, workers))

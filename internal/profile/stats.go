@@ -7,6 +7,7 @@
 package profile
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -119,15 +120,11 @@ type ColumnStats struct {
 // Column profiles one column of a database instance via the fused
 // columnar kernels (bit-identical to the row path, see kernels.go).
 func Column(db *relational.Database, table, column string) (*ColumnStats, error) {
-	if vec := db.Vector(table, column); vec != nil {
-		return FromVector(table, column, vec), nil
+	vec := db.Vector(table, column)
+	if vec == nil {
+		return nil, fmt.Errorf("profile: unknown column %s.%s", table, column)
 	}
-	values, err := db.Column(table, column) // unknown table/column: error
-	if err != nil {
-		return nil, err
-	}
-	col, _ := db.Schema.Table(table).Column(column)
-	return Values(table, column, col.Type, values), nil
+	return FromVector(table, column, vec), nil
 }
 
 // MustColumn is Column but panics on error.

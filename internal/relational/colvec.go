@@ -2,8 +2,10 @@ package relational
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -11,15 +13,16 @@ import (
 // This file implements the columnar substrate of the store. Each table
 // keeps one ColumnVector per column: a typed vector with a null bitmap,
 // and — for string columns — dictionary encoding (interned codes into an
-// append-ordered dictionary with per-code occurrence counts). The row API
-// (Rows, Column, ...) remains the compatibility view; the vectors are what
-// the profiling kernels, the schema matcher, and the discovery merge-joins
-// scan.
+// append-ordered dictionary with per-code occurrence counts).
 //
-// Vectors are materialized lazily on first access (so bulk loading pays no
-// per-insert overhead) and maintained incrementally by Insert, Update, and
-// Delete afterwards. As with the row view, concurrent readers are safe but
-// mutation must not race with reads.
+// The vectors are the store of record. ReadCSV parses straight into them,
+// Insert, Update and Delete mutate them, and WriteCSV and ContentHash
+// encode from them. The row API (Rows) is a compatibility view derived
+// from the vectors on first use and kept in step by later mutations; the
+// profiling kernels, the schema matcher, the discovery merge-joins and
+// the CSG instance builder scan the vectors and never build it. Readers
+// take no lock: concurrent readers are safe, but mutation must not race
+// with reads.
 
 // ChunkSize is the number of rows (or, for string columns, dictionary
 // entries) per profiling chunk: the unit of work the sharded profiling
@@ -72,7 +75,9 @@ type ColumnVector struct {
 	nulls     Bitmap
 	nullCount int
 
-	// String columns (dictionary encoding).
+	// String columns (dictionary encoding). lookup maps a string to its
+	// code for interning; only mutation needs it, so a committed ingest
+	// and Clone drop it and intern rebuilds it on demand.
 	codes  []int32
 	dict   []string         //efes:bounded one entry per distinct string value of the column
 	counts []int            //efes:bounded one entry per distinct string value of the column
@@ -103,11 +108,7 @@ type ColumnVector struct {
 }
 
 func newColumnVector(t Type) *ColumnVector {
-	v := &ColumnVector{typ: t}
-	if t == String {
-		v.lookup = make(map[string]int32)
-	}
-	return v
+	return &ColumnVector{typ: t}
 }
 
 // Type returns the column's declared type.
@@ -343,7 +344,9 @@ func (v *ColumnVector) computeSortedDistinct() []string {
 	}
 }
 
-// invalidate drops the distinct memo after a mutation.
+// invalidate drops the distinct memo. Mutations call it once per vector
+// per mutation call, not per cell; a vector ReadCSV has just built has no
+// memo to drop.
 func (v *ColumnVector) invalidate() {
 	v.memoMu.Lock()
 	v.memo = nil
@@ -353,6 +356,12 @@ func (v *ColumnVector) invalidate() {
 // intern returns the dictionary code of s, adding it with count 0 when
 // unseen. The caller adjusts counts.
 func (v *ColumnVector) intern(s string) int32 {
+	if v.lookup == nil {
+		v.lookup = make(map[string]int32, len(v.dict))
+		for c, d := range v.dict {
+			v.lookup[d] = int32(c)
+		}
+	}
 	if c, ok := v.lookup[s]; ok {
 		return c
 	}
@@ -374,7 +383,6 @@ func (v *ColumnVector) appendValue(val Value) {
 		v.nulls.set(i)
 		v.nullCount++
 		v.appendZero()
-		v.invalidate()
 		return
 	}
 	switch v.typ {
@@ -391,7 +399,61 @@ func (v *ColumnVector) appendValue(val Value) {
 	case Time:
 		v.times = append(v.times, val.(time.Time))
 	}
-	v.invalidate()
+}
+
+// appendField parses one CSV field with Coerce's string semantics and
+// appends it, without boxing: the empty field is NULL, a string is
+// interned straight into the dictionary (copied on first sight, so the
+// dictionary does not pin the CSV reader's record buffer), and the other
+// types go through the typed parsers. It serves ReadCSV, which builds
+// fresh vectors and stamps their chunks when it commits them; on a parse
+// failure it appends nothing and returns Coerce's error.
+//
+//efes:hot
+func (v *ColumnVector) appendField(s string) error {
+	if s == "" {
+		v.nulls.set(v.length)
+		v.nullCount++
+		v.appendZero()
+		v.length++
+		return nil
+	}
+	var err error
+	switch v.typ {
+	case String:
+		c, ok := v.lookup[s]
+		if !ok {
+			c = v.intern(strings.Clone(s))
+		}
+		v.codes = append(v.codes, c)
+		v.counts[c]++
+	case Integer:
+		var x int64
+		if x, err = ParseInt(s); err == nil {
+			v.ints = append(v.ints, x)
+		}
+	case Float:
+		var x float64
+		if x, err = ParseFloat(s); err == nil {
+			v.floats = append(v.floats, x)
+		}
+	case Bool:
+		var x bool
+		if x, err = ParseBool(s); err == nil {
+			v.bools = append(v.bools, x)
+		}
+	case Time:
+		var x time.Time
+		if x, err = ParseTime(s); err == nil {
+			v.times = append(v.times, x)
+		}
+	}
+	if err != nil {
+		_, err = Coerce(v.typ, s)
+		return err
+	}
+	v.length++
+	return nil
 }
 
 // appendZero appends the zero slot that keeps typed storage positionally
@@ -411,6 +473,92 @@ func (v *ColumnVector) appendZero() {
 	}
 }
 
+// appendVector appends the rows of src, a vector ReadCSV built that
+// nothing else references. A vector with no rows and no dictionary takes
+// over src's storage as is; any other appends src's rows one by one, so
+// its dictionary grows exactly as under Insert. Either way every chunk
+// receiving rows gets a fresh stamp.
+func (v *ColumnVector) appendVector(src *ColumnVector) {
+	if v.length != 0 || len(v.dict) != 0 {
+		for i := 0; i < src.length; i++ {
+			v.appendValue(src.Value(i))
+		}
+		return
+	}
+	v.codes, v.dict, v.counts, v.lookup = src.codes, src.dict, src.counts, nil
+	v.ints, v.floats, v.bools, v.times = src.ints, src.floats, src.bools, src.times
+	v.nulls, v.nullCount, v.length = src.nulls, src.nullCount, src.length
+	v.stampEpoch++
+	v.chunkStamps = v.chunkStamps[:0]
+	for k := 0; k < v.Chunks(); k++ {
+		v.chunkStamps = append(v.chunkStamps, v.stampEpoch)
+	}
+}
+
+// clone returns a deep copy of the vector. Strings are immutable, so the
+// copy shares them; the interning map and the distinct memo are not
+// copied (intern rebuilds the map on the copy's first mutation).
+func (v *ColumnVector) clone() *ColumnVector {
+	return &ColumnVector{
+		typ:         v.typ,
+		length:      v.length,
+		nulls:       Bitmap{words: slices.Clone(v.nulls.words)},
+		nullCount:   v.nullCount,
+		codes:       slices.Clone(v.codes),
+		dict:        slices.Clone(v.dict),
+		counts:      slices.Clone(v.counts),
+		ints:        slices.Clone(v.ints),
+		floats:      slices.Clone(v.floats),
+		bools:       slices.Clone(v.bools),
+		times:       slices.Clone(v.times),
+		chunkStamps: slices.Clone(v.chunkStamps),
+		stampEpoch:  v.stampEpoch,
+	}
+}
+
+// format renders the cell of row i exactly as FormatValue(v.Value(i))
+// does, without boxing it.
+func (v *ColumnVector) format(i int) string {
+	if v.nulls.Get(i) {
+		return ""
+	}
+	switch v.typ {
+	case String:
+		return v.dict[v.codes[i]]
+	case Integer:
+		return strconv.FormatInt(v.ints[i], 10)
+	case Float:
+		return FormatFloat(v.floats[i])
+	case Bool:
+		return strconv.FormatBool(v.bools[i])
+	case Time:
+		return FormatTime(v.times[i])
+	}
+	return ""
+}
+
+// fill stores the cells of rows [from, from+n) as row-API Values into
+// dst[0], dst[stride], dst[2*stride], ... A string column boxes each
+// dictionary entry once and shares it between the rows holding it.
+func (v *ColumnVector) fill(dst []Value, stride, from, n int) {
+	var boxed []Value
+	if v.typ == String {
+		boxed = make([]Value, len(v.dict))
+	}
+	for k := 0; k < n; k++ {
+		i := from + k
+		if v.typ == String && !v.nulls.Get(i) {
+			c := v.codes[i]
+			if boxed[c] == nil {
+				boxed[c] = v.dict[c]
+			}
+			dst[k*stride] = boxed[c]
+			continue
+		}
+		dst[k*stride] = v.Value(i)
+	}
+}
+
 // setValue overwrites the cell of row i with a canonical value.
 //
 //efes:hot
@@ -426,7 +574,6 @@ func (v *ColumnVector) setValue(i int, val Value) {
 		v.nulls.set(i)
 		v.nullCount++
 		v.setZero(i)
-		v.invalidate()
 		return
 	}
 	switch v.typ {
@@ -443,7 +590,6 @@ func (v *ColumnVector) setValue(i int, val Value) {
 	case Time:
 		v.times[i] = val.(time.Time)
 	}
-	v.invalidate()
 }
 
 // setZero zeroes the typed slot of row i.
@@ -525,14 +671,12 @@ func (v *ColumnVector) deleteRows(drop map[int]struct{}) {
 	if first < origLen { // a row was actually dropped
 		v.stampFrom(first)
 	}
-	v.invalidate()
 }
 
-// Vector returns the columnar view of one column, materializing the
-// table's vectors from the row store on first access. It returns nil for
-// unknown tables or columns. The returned vector is maintained
-// incrementally by subsequent Insert/Update/Delete calls; like the row
-// view, it must not be read concurrently with mutation.
+// Vector returns the columnar view of one column, or nil for unknown
+// tables or columns. The vector is the column's storage itself: later
+// Insert/Update/Delete/ReadCSV calls mutate it in place, and like every
+// read it must not run concurrently with mutation.
 func (db *Database) Vector(table, column string) *ColumnVector {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -542,9 +686,7 @@ func (db *Database) Vector(table, column string) *ColumnVector {
 	if idx < 0 {
 		return nil
 	}
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	return db.vectorsLocked(t)[idx]
+	return db.table(t).vecs[idx]
 }
 
 // Vectors returns the columnar view of every column of a table in
@@ -554,57 +696,5 @@ func (db *Database) Vectors(table string) []*ColumnVector {
 	if t == nil {
 		return nil
 	}
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	return db.vectorsLocked(t)
-}
-
-// vectorsLocked returns (building if necessary) the vectors of a table.
-// Callers hold vecMu.
-func (db *Database) vectorsLocked(t *Table) []*ColumnVector {
-	if vs, ok := db.vecs[t.Name]; ok {
-		return vs
-	}
-	vs := make([]*ColumnVector, len(t.Columns))
-	for i, c := range t.Columns {
-		vs[i] = newColumnVector(c.Type)
-	}
-	for _, row := range db.rows[t.Name] {
-		for i := range vs {
-			vs[i].appendValue(row[i])
-		}
-	}
-	db.vecs[t.Name] = vs
-	return vs
-}
-
-// vecInsert appends a row to the table's vectors if they are materialized.
-func (db *Database) vecInsert(table string, row Row) {
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	if vs, ok := db.vecs[table]; ok {
-		for i := range vs {
-			vs[i].appendValue(row[i])
-		}
-	}
-}
-
-// vecUpdate mirrors an Update into the materialized vectors.
-func (db *Database) vecUpdate(table string, rowIndex, colIndex int, val Value) {
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	if vs, ok := db.vecs[table]; ok {
-		vs[colIndex].setValue(rowIndex, val)
-	}
-}
-
-// vecDelete mirrors a Delete into the materialized vectors.
-func (db *Database) vecDelete(table string, drop map[int]struct{}) {
-	db.vecMu.Lock()
-	defer db.vecMu.Unlock()
-	if vs, ok := db.vecs[table]; ok {
-		for i := range vs {
-			vs[i].deleteRows(drop)
-		}
-	}
+	return db.table(t).vecs
 }

@@ -60,7 +60,7 @@ func TestVectorDictionaryEncoding(t *testing.T) {
 
 func TestVectorIncrementalMaintenance(t *testing.T) {
 	db := stringTableDB(t)
-	vec := db.Vector("songs", "title") // materialize, then mutate
+	vec := db.Vector("songs", "title")
 	db.MustInsert("songs", "c", int64(3))
 	if vec.Len() != 5 || vec.Value(4) != "c" {
 		t.Fatalf("after insert: len=%d last=%v", vec.Len(), vec.Value(4))
@@ -81,21 +81,23 @@ func TestVectorIncrementalMaintenance(t *testing.T) {
 	if got := vec.SortedDistinct(); !reflect.DeepEqual(got, []string{"b", "c"}) {
 		t.Fatalf("sorted distinct after mutations = %v", got)
 	}
-	// The vector stays aligned with the row view.
+	// The vector holds exactly the surviving titles, and the row view
+	// derived from it agrees.
+	want := []Value{"b", "b", nil, "c"}
 	rows := db.Rows("songs")
-	if len(rows) != vec.Len() {
-		t.Fatalf("row/vector length mismatch: %d vs %d", len(rows), vec.Len())
+	if vec.Len() != len(want) || len(rows) != len(want) {
+		t.Fatalf("lengths: vector %d, rows %d, want %d", vec.Len(), len(rows), len(want))
 	}
-	for i, row := range rows {
-		if !reflect.DeepEqual(row[0], vec.Value(i)) {
-			t.Errorf("row %d: row view %v, vector %v", i, row[0], vec.Value(i))
+	for i, w := range want {
+		if vec.Value(i) != w || rows[i][0] != w {
+			t.Errorf("row %d: vector %v, row view %v, want %v", i, vec.Value(i), rows[i][0], w)
 		}
 	}
 }
 
 func TestVectorLazyMaterialization(t *testing.T) {
 	db := stringTableDB(t)
-	// Mutations before first access must be reflected once materialized.
+	// Mutations before the first vector access are reflected in it.
 	db.MustInsert("songs", "z", nil)
 	db.Delete("songs", 0)
 	vec := db.Vector("songs", "plays")
@@ -117,8 +119,8 @@ func TestVectorUnknownAndClone(t *testing.T) {
 	}
 	vec := db.Vector("songs", "title")
 	cl := db.Clone()
-	// The clone materializes its own vectors; mutating the clone must not
-	// disturb the original's.
+	// The clone copies the vectors; mutating the clone must not disturb
+	// the original's.
 	cl.MustInsert("songs", "q", int64(9))
 	if got := db.Vector("songs", "title"); got != vec || got.Len() != 4 {
 		t.Fatalf("original vector disturbed by clone mutation: len=%d", got.Len())

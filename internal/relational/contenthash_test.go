@@ -84,23 +84,24 @@ func TestContentHashInvalidatedByMutations(t *testing.T) {
 	}
 }
 
-// ReadCSV after a materialized columnar view must not leave the view
-// stale (the vector is dropped and rebuilt lazily).
+// ReadCSV after a vector was handed out must not leave it stale: the
+// load appends to the column's storage in place.
 func TestReadCSVDropsStaleVectors(t *testing.T) {
 	db := NewDatabase(testSchema(t))
 	db.MustInsert("artists", 1, "Queen")
-	if vec := db.Vector("artists", "name"); vec == nil {
+	before := db.Vector("artists", "name")
+	if before == nil {
 		t.Fatal("no vector")
 	}
 	if err := db.ReadCSV("artists", strings.NewReader("id,name\n2,ABBA\n")); err != nil {
 		t.Fatal(err)
 	}
 	vec := db.Vector("artists", "name")
-	if vec == nil {
-		t.Fatal("no vector after ReadCSV")
+	if vec != before {
+		t.Fatal("ReadCSV replaced the column's vector")
 	}
-	if got := vec.Len(); got != 2 {
-		t.Errorf("vector length after ReadCSV = %d, want 2 (stale vector not dropped)", got)
+	if got := vec.Len(); got != 2 || vec.Value(1) != "ABBA" {
+		t.Errorf("vector after ReadCSV: length %d, last %v; want 2, ABBA", got, vec.Value(vec.Len()-1))
 	}
 }
 

@@ -7,10 +7,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 )
 
 // WriteCSV encodes one table as CSV: a header line with the column names
-// followed by one line per row. NULL is encoded as the empty field.
+// followed by one line per row. NULL is encoded as the empty field. The
+// cells are rendered straight from the column vectors, exactly as
+// FormatValue renders them; the row view is not built.
 func (db *Database) WriteCSV(table string, w io.Writer) error {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -20,10 +23,11 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 	if err := cw.Write(t.ColumnNames()); err != nil {
 		return err
 	}
+	td := db.table(t)
 	record := make([]string, len(t.Columns))
-	for _, row := range db.rows[table] {
-		for i, v := range row {
-			record[i] = FormatValue(v)
+	for i := 0; i < td.n; i++ {
+		for c, vec := range td.vecs {
+			record[c] = vec.format(i)
 		}
 		if err := cw.Write(record); err != nil {
 			return err
@@ -33,12 +37,30 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 	return cw.Error()
 }
 
+// csvBatchRecords is the number of records the CSV reader hands to the
+// column appender at a time: large enough that the hand-off costs
+// nothing against the parsing, small enough that a batch stays in cache.
+const csvBatchRecords = 1024
+
+// csvBatch is a run of decoded CSV records on their way from the reader
+// to the appender. fields holds the records row-major; lines holds the
+// 1-based input line of each field, for error messages.
+type csvBatch struct {
+	fields []string
+	lines  []int
+}
+
 // ReadCSV decodes rows for an existing table from CSV produced by
 // WriteCSV. The header must match the table's columns; empty fields become
 // NULL and the remaining fields are parsed according to the column types.
 // The load is atomic: rows are staged and committed only when the whole
 // input parses, so a malformed line mid-file leaves the table untouched.
 // Parse errors name the 1-based input line and the column.
+//
+// Decoding runs as a two-stage pipeline: the calling goroutine runs the
+// CSV reader and hands batches of records to one appender goroutine,
+// which parses each field into fresh column vectors; the appender is
+// joined before ReadCSV returns, on success and on error alike.
 func (db *Database) ReadCSV(table string, r io.Reader) error {
 	t := db.Schema.Table(table)
 	if t == nil {
@@ -46,6 +68,7 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 	}
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(t.Columns)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return fmt.Errorf("relational: read csv for %s: %w", table, err)
@@ -55,38 +78,121 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 			return fmt.Errorf("relational: csv header mismatch for %s: got %q, want %q", table, name, t.Columns[i].Name)
 		}
 	}
-	var staged []Row
-	for {
-		record, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return fmt.Errorf("relational: read csv for %s: %w", table, err)
-		}
-		row := make(Row, len(record))
-		for i, field := range record {
-			if field == "" {
-				continue // NULL
-			}
-			cv, cerr := Coerce(t.Columns[i].Type, field)
-			if cerr != nil {
-				line, _ := cr.FieldPos(i)
-				return fmt.Errorf("relational: csv for %s: line %d, column %s: %w", table, line, t.Columns[i].Name, cerr)
-			}
-			row[i] = cv
-		}
-		staged = append(staged, row)
+
+	staged := make([]*ColumnVector, len(t.Columns))
+	for i, c := range t.Columns {
+		staged[i] = newColumnVector(c.Type)
 	}
-	db.rows[table] = append(db.rows[table], staged...)
-	// The bulk append bypasses the incremental columnar maintenance, so a
-	// vector materialized before the load would be stale: drop it (it is
-	// rebuilt lazily) and invalidate the table's content hash.
-	db.vecMu.Lock()
-	delete(db.vecs, table)
-	db.vecMu.Unlock()
+	rows := 0
+	full := make(chan *csvBatch)
+	// free recycles processed batches to the reader; the reader never
+	// waits on it, so at most three batches ever exist.
+	free := make(chan *csvBatch, 2)
+	failed := make(chan struct{})
+	var parseErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for b := range full {
+			if parseErr == nil {
+				var n int
+				n, parseErr = appendBatch(t, staged, b)
+				rows += n
+				if parseErr != nil {
+					close(failed)
+				}
+			}
+			select {
+			case free <- b:
+			default:
+			}
+		}
+	}()
+	readErr := feedCSV(cr, len(t.Columns), full, free, failed)
+	close(full)
+	wg.Wait()
+	if parseErr != nil {
+		return fmt.Errorf("relational: csv for %s: %w", table, parseErr)
+	}
+	if readErr != nil {
+		return fmt.Errorf("relational: read csv for %s: %w", table, readErr)
+	}
+
+	td := db.mutable(t)
+	from := td.n
+	for i, vec := range td.vecs {
+		vec.appendVector(staged[i])
+		vec.invalidate()
+	}
+	td.n += rows
+	td.viewMu.Lock()
+	if td.view != nil {
+		td.view = append(td.view, td.rows(from, td.n)...)
+	}
+	td.viewMu.Unlock()
 	db.invalidateHash(table)
 	return nil
+}
+
+// feedCSV is the reader stage of ReadCSV: it decodes records into batches
+// and sends them on full until the input ends, the reader fails, or the
+// appender reports a parse error by closing failed. It returns the
+// reader's error, io.EOF excepted.
+func feedCSV(cr *csv.Reader, width int, full chan<- *csvBatch, free <-chan *csvBatch, failed <-chan struct{}) error {
+	for {
+		var b *csvBatch
+		select {
+		case b = <-free:
+			b.fields, b.lines = b.fields[:0], b.lines[:0]
+		default:
+			b = &csvBatch{
+				fields: make([]string, 0, csvBatchRecords*width),
+				lines:  make([]int, 0, csvBatchRecords*width),
+			}
+		}
+		var err error
+		for len(b.fields) < csvBatchRecords*width {
+			var record []string
+			if record, err = cr.Read(); err != nil {
+				break
+			}
+			b.fields = append(b.fields, record...)
+			for i := range record {
+				line, _ := cr.FieldPos(i)
+				b.lines = append(b.lines, line)
+			}
+		}
+		if len(b.fields) > 0 {
+			select {
+			case full <- b:
+			case <-failed:
+				return nil
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// appendBatch is the appender stage of ReadCSV: it parses the fields of
+// one batch into the staged vectors and returns the number of records
+// appended. The first field, in input order, that does not parse stops
+// the load with an error naming its input line and column.
+func appendBatch(t *Table, staged []*ColumnVector, b *csvBatch) (int, error) {
+	width := len(staged)
+	for k := 0; k < len(b.fields); k += width {
+		for c, vec := range staged {
+			if err := vec.appendField(b.fields[k+c]); err != nil {
+				return 0, fmt.Errorf("line %d, column %s: %w", b.lines[k+c], t.Columns[c].Name, err)
+			}
+		}
+	}
+	return len(b.fields) / width, nil
 }
 
 // SaveDir writes the whole database to a directory: schema.txt describing

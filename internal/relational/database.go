@@ -6,51 +6,89 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Row is a single tuple; its length always equals the number of columns of
 // its table, in declaration order. A nil element is SQL NULL.
 type Row []Value
 
-// clone returns a copy of the row.
-func (r Row) clone() Row {
-	out := make(Row, len(r))
-	copy(out, r)
-	return out
-}
-
-// Database is an instance of a Schema: a set of rows per table.
+// Database is an instance of a Schema: the tuples of every table, stored
+// column-wise (see colvec.go).
 type Database struct {
 	// Schema is the schema this instance conforms to (modulo any
 	// violations reported by Validate).
 	Schema *Schema
 
-	rows map[string][]Row //efes:bounded one slice per table of the loaded instance, one element per row
+	// tables holds the storage of every table of the schema, created by
+	// NewDatabase; only a mutation of a table added to the schema later
+	// adds an entry, so readers never write the map.
+	tables map[string]*tableData //efes:bounded one entry per table of the schema
 
-	// vecs holds the lazily materialized columnar view of each table
-	// (see colvec.go). vecMu guards the map and first-access builds:
-	// concurrent profiling readers may trigger materialization, which
-	// turns a read into a write.
-	vecMu sync.Mutex
-	vecs  map[string][]*ColumnVector //efes:guardedby vecMu
+	// rowViewBuilds counts row-view builds (Rows on a table whose view is
+	// not built yet), so tests can assert a consumer never needs rows.
+	rowViewBuilds atomic.Int64
 
-	// hashes memoizes per-table content hashes (ContentHash). hashMu is
-	// separate from vecMu so a first-time hash (a full CSV serialization
-	// of the table) never blocks columnar materialization; holding it
-	// across the computation deduplicates concurrent hashers of the same
-	// instance. Mutations invalidate via invalidateHash.
+	// hashes memoizes per-table content hashes (ContentHash). Holding
+	// hashMu across the computation deduplicates concurrent hashers of
+	// the same instance. Mutations invalidate via invalidateHash.
 	hashMu sync.Mutex
 	hashes map[string]string //efes:guardedby hashMu
 }
 
+// tableData is the storage of one table. The column vectors are the
+// store of record; the row view is derived from them by the first Rows
+// call and then kept in step by every mutation.
+type tableData struct {
+	n    int             // rows; kept apart from the vectors because a table may have no columns
+	vecs []*ColumnVector // one per column, in declaration order
+
+	// viewMu serializes the lazy build of the row view among concurrent
+	// readers; mutations take it to keep a built view in step.
+	viewMu sync.Mutex
+	view   []Row //efes:guardedby viewMu — nil until built; one element per row
+}
+
+func newTableData(t *Table) *tableData {
+	td := &tableData{vecs: make([]*ColumnVector, len(t.Columns))}
+	for i, c := range t.Columns {
+		td.vecs[i] = newColumnVector(c.Type)
+	}
+	return td
+}
+
 // NewDatabase creates an empty instance of the given schema.
 func NewDatabase(s *Schema) *Database {
-	return &Database{
+	db := &Database{
 		Schema: s,
-		rows:   make(map[string][]Row),
-		vecs:   make(map[string][]*ColumnVector),
+		tables: make(map[string]*tableData),
 		hashes: make(map[string]string),
 	}
+	for _, t := range s.Tables() {
+		db.tables[t.Name] = newTableData(t)
+	}
+	return db
+}
+
+// table returns the storage of a table of the schema. A table added to
+// the schema after NewDatabase reads as empty until its first mutation
+// (see mutable).
+func (db *Database) table(t *Table) *tableData {
+	if td, ok := db.tables[t.Name]; ok {
+		return td
+	}
+	return newTableData(t)
+}
+
+// mutable returns the storage of a table of the schema for a mutation,
+// creating it if the table was added to the schema after NewDatabase.
+func (db *Database) mutable(t *Table) *tableData {
+	td, ok := db.tables[t.Name]
+	if !ok {
+		td = newTableData(t)
+		db.tables[t.Name] = td
+	}
+	return td
 }
 
 // ContentHash returns a hex-encoded SHA-256 over the table's full CSV
@@ -101,8 +139,17 @@ func (db *Database) Insert(table string, values ...Value) error {
 		}
 		row[i] = cv
 	}
-	db.rows[table] = append(db.rows[table], row)
-	db.vecInsert(table, row)
+	td := db.mutable(t)
+	for i, vec := range td.vecs {
+		vec.appendValue(row[i])
+		vec.invalidate()
+	}
+	td.n++
+	td.viewMu.Lock()
+	if td.view != nil {
+		td.view = append(td.view, row)
+	}
+	td.viewMu.Unlock()
 	db.invalidateHash(table)
 	return nil
 }
@@ -139,18 +186,57 @@ func (db *Database) InsertMap(table string, values map[string]Value) error {
 	return db.Insert(table, row...)
 }
 
-// Rows returns the tuples of the named table. The returned slice is owned
-// by the database and must not be mutated.
-func (db *Database) Rows(table string) []Row { return db.rows[table] }
+// Rows returns the tuples of the named table: a view derived from the
+// column vectors on the first call and kept in step by later mutations.
+// Concurrent first calls build it once. The returned slice is owned by
+// the database and must not be mutated. Consumers that can scan the
+// vectors (Vector, Vectors) should, and leave the view unbuilt.
+func (db *Database) Rows(table string) []Row {
+	t := db.Schema.Table(table)
+	if t == nil {
+		return nil
+	}
+	td := db.table(t)
+	td.viewMu.Lock()
+	defer td.viewMu.Unlock()
+	if td.view == nil && td.n > 0 {
+		td.view = td.rows(0, td.n)
+		db.rowViewBuilds.Add(1)
+	}
+	return td.view
+}
+
+// rows builds the row view of rows [from, to) from the vectors. The cells
+// of all rows share one backing array.
+func (td *tableData) rows(from, to int) []Row {
+	n, width := to-from, len(td.vecs)
+	if n == 0 {
+		return nil
+	}
+	cells := make([]Value, n*width)
+	for c, vec := range td.vecs {
+		vec.fill(cells[c:], width, from, n)
+	}
+	out := make([]Row, n)
+	for i := range out {
+		out[i] = cells[i*width : (i+1)*width : (i+1)*width]
+	}
+	return out
+}
 
 // NumRows returns the number of tuples in the named table.
-func (db *Database) NumRows(table string) int { return len(db.rows[table]) }
+func (db *Database) NumRows(table string) int {
+	if td, ok := db.tables[table]; ok {
+		return td.n
+	}
+	return 0
+}
 
 // TotalRows returns the number of tuples over all tables.
 func (db *Database) TotalRows() int {
 	n := 0
-	for _, rs := range db.rows {
-		n += len(rs)
+	for _, td := range db.tables {
+		n += td.n
 	}
 	return n
 }
@@ -166,10 +252,9 @@ func (db *Database) Column(table, column string) ([]Value, error) {
 	if idx < 0 {
 		return nil, fmt.Errorf("relational: unknown column %s.%s", table, column)
 	}
-	out := make([]Value, 0, len(db.rows[table]))
-	for _, row := range db.rows[table] {
-		out = append(out, row[idx])
-	}
+	td := db.table(t)
+	out := make([]Value, td.n)
+	td.vecs[idx].fill(out, 1, 0, td.n)
 	return out, nil
 }
 
@@ -219,15 +304,20 @@ func (db *Database) Validate() []Violation {
 	return out
 }
 
-// Clone deep-copies the instance (sharing the immutable schema).
+// Clone deep-copies the instance (sharing the immutable schema): it
+// copies the column vectors; the copy builds its own row view on demand.
 func (db *Database) Clone() *Database {
-	out := NewDatabase(db.Schema)
-	for table, rs := range db.rows {
-		cp := make([]Row, len(rs))
-		for i, r := range rs {
-			cp[i] = r.clone()
+	out := &Database{
+		Schema: db.Schema,
+		tables: make(map[string]*tableData, len(db.tables)),
+		hashes: make(map[string]string),
+	}
+	for name, td := range db.tables {
+		cp := &tableData{n: td.n, vecs: make([]*ColumnVector, len(td.vecs))}
+		for i, vec := range td.vecs {
+			cp.vecs[i] = vec.clone()
 		}
-		out.rows[table] = cp
+		out.tables[name] = cp
 	}
 	return out
 }
@@ -235,22 +325,35 @@ func (db *Database) Clone() *Database {
 // Delete removes the rows at the given indexes from the named table.
 // Indexes outside the table are ignored.
 func (db *Database) Delete(table string, rowIndexes ...int) {
-	if len(rowIndexes) == 0 {
+	td, ok := db.tables[table]
+	if !ok || len(rowIndexes) == 0 {
 		return
 	}
 	drop := make(map[int]struct{}, len(rowIndexes))
 	for _, i := range rowIndexes {
-		drop[i] = struct{}{}
-	}
-	src := db.rows[table]
-	dst := src[:0]
-	for i, r := range src {
-		if _, gone := drop[i]; !gone {
-			dst = append(dst, r)
+		if i >= 0 && i < td.n {
+			drop[i] = struct{}{}
 		}
 	}
-	db.rows[table] = dst
-	db.vecDelete(table, drop)
+	if len(drop) == 0 {
+		return
+	}
+	for _, vec := range td.vecs {
+		vec.deleteRows(drop)
+		vec.invalidate()
+	}
+	td.n -= len(drop)
+	td.viewMu.Lock()
+	if td.view != nil {
+		dst := td.view[:0]
+		for i, r := range td.view {
+			if _, gone := drop[i]; !gone {
+				dst = append(dst, r)
+			}
+		}
+		td.view = dst
+	}
+	td.viewMu.Unlock()
 	db.invalidateHash(table)
 }
 
@@ -264,15 +367,21 @@ func (db *Database) Update(table string, rowIndex int, column string, v Value) e
 	if idx < 0 {
 		return fmt.Errorf("relational: update unknown column %s.%s", table, column)
 	}
-	if rowIndex < 0 || rowIndex >= len(db.rows[table]) {
+	td := db.table(t)
+	if rowIndex < 0 || rowIndex >= td.n {
 		return fmt.Errorf("relational: update %s: row %d out of range", table, rowIndex)
 	}
 	cv, err := Coerce(t.Columns[idx].Type, v)
 	if err != nil {
 		return err
 	}
-	db.rows[table][rowIndex][idx] = cv
-	db.vecUpdate(table, rowIndex, idx, cv)
+	td.vecs[idx].setValue(rowIndex, cv)
+	td.vecs[idx].invalidate()
+	td.viewMu.Lock()
+	if td.view != nil {
+		td.view[rowIndex][idx] = cv
+	}
+	td.viewMu.Unlock()
 	db.invalidateHash(table)
 	return nil
 }
@@ -296,7 +405,7 @@ func (db *Database) EquiJoin(leftTable, leftColumn, rightTable, rightColumn stri
 		return nil, fmt.Errorf("relational: join on unknown columns %s.%s, %s.%s", leftTable, leftColumn, rightTable, rightColumn)
 	}
 	index := make(map[string][]int)
-	for j, row := range db.rows[rightTable] {
+	for j, row := range db.Rows(rightTable) {
 		v := row[ri]
 		if v == nil {
 			continue
@@ -305,7 +414,7 @@ func (db *Database) EquiJoin(leftTable, leftColumn, rightTable, rightColumn stri
 		index[k] = append(index[k], j)
 	}
 	var out []JoinPair
-	for i, row := range db.rows[leftTable] {
+	for i, row := range db.Rows(leftTable) {
 		v := row[li]
 		if v == nil {
 			continue
