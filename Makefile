@@ -69,7 +69,11 @@ bench:
 # cost more than the single-worker pass it parallelizes. The fourth gates
 # the CSV ingest: IngestLarge (ReadCSV of the rendered LargeExampleConfig
 # scenario straight into column vectors) ran ~25 ms on the reference
-# machine, and 125 ms applies the same ~5x headroom.
+# machine, and 125 ms applies the same ~5x headroom. The fifth gates the
+# structure detector: StructureLarge (lazy CSG interning plus violation
+# counting) ran ~2.3 ms on the reference machine, and 12 ms applies the
+# same ~5x headroom; which attributes get interned at all is pinned
+# exactly by TestStructureAssessmentSkipsUnreadAttributes.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
@@ -78,3 +82,5 @@ bench-smoke:
 		-out '' -assert 'BenchmarkProfileDatabaseLarge=75ms,BenchmarkProfileDatabaseLargeSharded=75ms'
 	go run ./cmd/benchjson -bench '^BenchmarkIngestLarge$$' -benchtime 3x \
 		-out '' -assert BenchmarkIngestLarge=125ms
+	go run ./cmd/benchjson -bench '^BenchmarkStructureLarge$$' -benchtime 3x \
+		-out '' -assert BenchmarkStructureLarge=12ms

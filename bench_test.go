@@ -510,6 +510,21 @@ func BenchmarkFullEstimateLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkStructureLarge runs the structure conflict detector at
+// LargeExampleConfig scale: CSG interning and violation counting over the
+// large source. It runs under -short (unlike StructureXLarge), so the
+// bench-smoke gate covers the interning path.
+func BenchmarkStructureLarge(b *testing.B) {
+	scn := largeExample()
+	m := structure.New()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.AssessComplexity(scn); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIngestLarge loads the LargeExampleConfig scenario from its CSV
 // rendering (WriteCSV of every table of the target and the source) into
 // fresh databases: the cold ingest path alone, CSV decoding straight into

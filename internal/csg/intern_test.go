@@ -147,6 +147,17 @@ func TestInternedMatchesOracle(t *testing.T) {
 			if got := in.Links(e, "no such element"); got != nil {
 				t.Fatalf("round %d: Links of unknown element = %q", round, got)
 			}
+			// A tuple ID names tuple i only when spelled exactly as the
+			// oracle renders it; zero-padded, signed, or spaced spellings
+			// of the same integer name nothing.
+			if e.From.Kind == TableNode {
+				for _, suffix := range []string{"#01", "#+1", "#00", "#-0", "# 1", "#1 ", "#0x1"} {
+					elem := e.From.Table + suffix
+					if got, want := in.Links(e, elem), oracle.Links(e, elem); !reflect.DeepEqual(got, want) {
+						t.Fatalf("round %d: Links(%s, %q) = %q, want %q", round, e, elem, got, want)
+					}
+				}
+			}
 		}
 		// Random composed paths: counts, cards, violations, splits.
 		for trial := 0; trial < 12; trial++ {
@@ -219,8 +230,8 @@ func TestInternedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestInternedBoolAndTimeColumns covers the rendered-string fallback of
-// buildAttribute.
+// TestInternedBoolAndTimeColumns covers buildAttribute over a Bool
+// column's rendering dictionary (relational.RenderDict).
 func TestInternedBoolAndTimeColumns(t *testing.T) {
 	s := relational.NewSchema("bools")
 	s.MustAddTable(relational.MustTable("flags",

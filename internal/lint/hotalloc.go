@@ -23,7 +23,11 @@ package lint
 //     parameter;
 //   - closures capturing outer variables (the closure object is heap
 //     allocated per iteration);
-//   - string↔[]byte conversions (each copies the bytes).
+//   - string↔[]byte conversions (each copies the bytes) — except the
+//     key of a map-index read, m[string(b)] (plain or comma-ok), which
+//     the compiler looks up without copying. Assigning through that
+//     index (m[string(b)] = v, m[string(b)] += v, m[string(b)]++) stores
+//     the key and stays flagged.
 //
 // The analysis is syntactic and intraprocedural: an allocation hidden
 // behind a callee (x.Format, fmt helpers called outside the loop body's
@@ -61,9 +65,11 @@ func runHotalloc(pass *Pass) {
 				continue
 			}
 			h := &hotWalker{
-				pass:    pass,
-				df:      analyzeFunc(pass.Pkg, node),
-				flagged: make(map[*ast.CompositeLit]bool),
+				pass:     pass,
+				df:       analyzeFunc(pass.Pkg, node),
+				flagged:  make(map[*ast.CompositeLit]bool),
+				stores:   make(map[*ast.IndexExpr]bool),
+				readKeys: make(map[*ast.CallExpr]bool),
 			}
 			h.walk(fd.Body)
 		}
@@ -91,6 +97,10 @@ type hotWalker struct {
 	df      *funcDataflow
 	loops   []ast.Node
 	flagged map[*ast.CompositeLit]bool // already reported under a &
+	// stores marks index expressions that are assigned through; readKeys
+	// marks string(b) conversions that are the key of a map-index read.
+	stores   map[*ast.IndexExpr]bool
+	readKeys map[*ast.CallExpr]bool
 }
 
 // flag reports one per-iteration allocation with the innermost loop and
@@ -147,14 +157,51 @@ func (h *hotWalker) walk(node ast.Node) {
 				h.flag(x.Pos(), fmt.Sprintf("composite literal %s", compactExpr(x)))
 			}
 		}
+	case *ast.AssignStmt:
+		for _, lhs := range x.Lhs {
+			if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+				h.stores[ix] = true
+			}
+		}
+	case *ast.IncDecStmt:
+		if ix, ok := ast.Unparen(x.X).(*ast.IndexExpr); ok {
+			h.stores[ix] = true
+		}
+	case *ast.IndexExpr:
+		if !h.stores[x] && h.isMap(x.X) {
+			if call, ok := ast.Unparen(x.Index).(*ast.CallExpr); ok && h.isBytesToString(call) {
+				h.readKeys[call] = true
+			}
+		}
 	case *ast.CallExpr:
-		if h.inLoop() {
+		if h.inLoop() && !h.readKeys[x] {
 			h.checkCall(x)
 		}
 	}
 	for _, child := range childNodes(node) {
 		h.walk(child)
 	}
+}
+
+// isMap reports whether e is map-typed.
+func (h *hotWalker) isMap(e ast.Expr) bool {
+	tv, ok := h.pass.Pkg.Info.Types[e]
+	if !ok || tv.Type == nil {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
+}
+
+// isBytesToString reports whether call is a string([]byte) conversion.
+func (h *hotWalker) isBytesToString(call *ast.CallExpr) bool {
+	info := h.pass.Pkg.Info
+	fun, ok := info.Types[call.Fun]
+	if !ok || !fun.IsType() || !isStringType(fun.Type) || len(call.Args) != 1 {
+		return false
+	}
+	arg, ok := info.Types[call.Args[0]]
+	return ok && isByteSlice(arg.Type)
 }
 
 // litType resolves a composite literal's underlying type.

@@ -90,6 +90,7 @@ func Suppressed(xs []rune) []string {
 // ResetAfter releases its buffer after the loop: a definition textually
 // after the loop cannot reach its iterations and does not defeat the
 // capacity proof.
+//
 //efes:hot
 func ResetAfter(xs []int) int {
 	buf := make([]int, 0, len(xs))
@@ -99,6 +100,27 @@ func ResetAfter(xs []int) int {
 	total := len(buf)
 	buf = nil
 	_ = buf
+	return total
+}
+
+// MapKeys: a map-index read keyed by string(b), plain or comma-ok, is
+// looked up without copying the bytes and passes; storing through that
+// index, or converting outside an index, copies and is flagged.
+//
+//efes:hot
+func MapKeys(m map[string]int, rows [][]byte) int {
+	total := 0
+	for _, b := range rows {
+		total += m[string(b)] // clean: the compiler elides the copy
+		if _, ok := m[string(b)]; ok {
+			total++ // clean: comma-ok read
+		}
+		m[string(b)] = total // want hotalloc: the stored key is a copy
+		m[string(b)] += 1    // want hotalloc: op-assign stores the key
+		m[string(b)]++       // want hotalloc: so does an increment
+		k := string(b)       // want hotalloc: conversion outside an index
+		total += len(k)
+	}
 	return total
 }
 

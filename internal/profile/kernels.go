@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"efes/internal/relational"
@@ -73,31 +74,16 @@ func FromVectorCoerced(table, column string, vec *relational.ColumnVector, typ r
 		// Every non-NULL value fails to coerce; only NULLs survive.
 		return Values(table, column, typ, make([]relational.Value, vec.NullCount())), vec.Len() - vec.NullCount()
 	}
-	switch src {
-	case relational.String:
+	switch {
+	case typ == relational.String:
+		return toString(table, column, vec), 0
+	case src == relational.String:
 		return coercedFromString(table, column, vec, typ)
-	case relational.Integer:
-		switch typ {
-		case relational.Float:
-			return intToFloat(table, column, vec), 0
-		case relational.String:
-			return intToString(table, column, vec), 0
-		}
-	case relational.Float:
-		switch typ {
-		case relational.Integer:
-			return floatToInt(table, column, vec)
-		case relational.String:
-			return floatToString(table, column, vec), 0
-		}
-	case relational.Bool:
-		if typ == relational.String {
-			return boolToString(table, column, vec), 0
-		}
+	case src == relational.Integer: // to Float: the only other possible target
+		return intToFloat(table, column, vec), 0
+	default: // Float to Integer
+		return floatToInt(table, column, vec)
 	}
-	// Rare combination (e.g. Time source rendered to String): coerce
-	// value by value exactly like the row path.
-	return coercedFallback(table, column, vec, typ)
 }
 
 // impossibleCoercion reports whether no non-NULL canonical value of type
@@ -113,23 +99,6 @@ func impossibleCoercion(src, dst relational.Type) bool {
 		return dst == relational.Integer || dst == relational.Float || dst == relational.Bool
 	}
 	return false
-}
-
-// coercedFallback materializes the column and replicates the row path:
-// coerce every value, drop failures, profile the survivors.
-func coercedFallback(table, column string, vec *relational.ColumnVector, typ relational.Type) (*ColumnStats, int) {
-	n := vec.Len()
-	coerced := make([]relational.Value, 0, n)
-	incompatible := 0
-	for i := 0; i < n; i++ {
-		cv, err := relational.Coerce(typ, vec.Value(i))
-		if err != nil {
-			incompatible++
-			continue
-		}
-		coerced = append(coerced, cv)
-	}
-	return Values(table, column, typ, coerced), incompatible
 }
 
 // newStats seeds a ColumnStats with the row-count statistics shared by
@@ -149,7 +118,7 @@ func newStats(table, column string, typ relational.Type, rows, nulls int) *Colum
 // distinct string processed once, weighted by its occurrence count — and
 // two passes over the code vector replicate the seed's row-order string-
 // length accumulation. It serves the raw string column and every derived
-// to-string view (the derived dictionaries of intToString etc.).
+// to-string view (the rendering dictionaries of toString).
 //
 //efes:hot
 func stringKernelDict(cs *ColumnStats, strs []string, occ []int, codes []int32, nulls *relational.Bitmap) {
@@ -488,103 +457,25 @@ func floatToInt(table, column string, vec *relational.ColumnVector) (*ColumnStat
 	return cs, incompatible
 }
 
-// intToString profiles an integer column rendered as strings, building a
-// derived dictionary (one rendering per distinct value) for the fused
-// string kernel.
-//
-//efes:hot
-func intToString(table, column string, vec *relational.ColumnVector) *ColumnStats {
-	ints, nulls := vec.Ints(), vec.Nulls()
-	nonNull := vec.Len() - vec.NullCount()
-	m := make(map[int64]int32)
-	strs := make([]string, 0, nonNull) // distinct ≤ non-NULL rows
-	occ := make([]int, 0, nonNull)
-	codes := make([]int32, len(ints))
-	for i, x := range ints {
-		if nulls.Get(i) {
-			continue
-		}
-		c, seen := m[x]
-		if !seen {
-			c = int32(len(strs))
-			m[x] = c
-			strs = append(strs, strconv.FormatInt(x, 10))
-			occ = append(occ, 0)
-		}
-		occ[c]++
-		codes[i] = c
-	}
+// toString profiles a non-String column coerced to String: its
+// FormatValue rendering dictionary (relational.RenderDict) runs through
+// the fused string kernel exactly as a String column's own dictionary
+// does.
+func toString(table, column string, vec *relational.ColumnVector) *ColumnStats {
+	dict, codes, counts := relational.RenderDict(vec)
 	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDict(cs, strs, occ, codes, nulls)
+	stringKernelDict(cs, dict, counts, codes, vec.Nulls())
+	detachTopK(cs)
 	return cs
 }
 
-// floatToString profiles a float column rendered as strings via a derived
-// dictionary keyed by float bits (NaNs canonicalized: they all render
-// "NaN").
-//
-//efes:hot
-func floatToString(table, column string, vec *relational.ColumnVector) *ColumnStats {
-	floats, nulls := vec.Floats(), vec.Nulls()
-	nonNull := vec.Len() - vec.NullCount()
-	m := make(map[uint64]int32)
-	strs := make([]string, 0, nonNull) // distinct ≤ non-NULL rows
-	occ := make([]int, 0, nonNull)
-	codes := make([]int32, len(floats))
-	for i, x := range floats {
-		if nulls.Get(i) {
-			continue
-		}
-		k := floatKey(x)
-		c, seen := m[k]
-		if !seen {
-			c = int32(len(strs))
-			m[k] = c
-			strs = append(strs, strconv.FormatFloat(x, 'g', -1, 64))
-			occ = append(occ, 0)
-		}
-		occ[c]++
-		codes[i] = c
+// detachTopK copies the top-k values of a rendered column out of
+// RenderDict's arena, so a cached profile pins ten short strings rather
+// than a rendering of the whole column.
+func detachTopK(cs *ColumnStats) {
+	for i := range cs.TopK {
+		cs.TopK[i].Value = strings.Clone(cs.TopK[i].Value)
 	}
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDict(cs, strs, occ, codes, nulls)
-	return cs
-}
-
-// boolToString profiles a boolean column rendered as strings.
-//
-//efes:hot
-func boolToString(table, column string, vec *relational.ColumnVector) *ColumnStats {
-	bools, nulls := vec.Bools(), vec.Nulls()
-	strs := make([]string, 0, 2)
-	occ := make([]int, 0, 2)
-	codes := make([]int32, len(bools))
-	tIdx, fIdx := int32(-1), int32(-1)
-	for i, x := range bools {
-		if nulls.Get(i) {
-			continue
-		}
-		if x {
-			if tIdx < 0 {
-				tIdx = int32(len(strs))
-				strs = append(strs, "true")
-				occ = append(occ, 0)
-			}
-			occ[tIdx]++
-			codes[i] = tIdx
-		} else {
-			if fIdx < 0 {
-				fIdx = int32(len(strs))
-				strs = append(strs, "false")
-				occ = append(occ, 0)
-			}
-			occ[fIdx]++
-			codes[i] = fIdx
-		}
-	}
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDict(cs, strs, occ, codes, nulls)
-	return cs
 }
 
 // floatKey keys a float for distinct counting: its bit pattern with NaNs

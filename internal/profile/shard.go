@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"efes/internal/relational"
 )
@@ -106,9 +107,7 @@ func FromVectorSharded(table, column string, vec *relational.ColumnVector, worke
 }
 
 // FromVectorCoercedSharded is FromVectorCoerced with sharded kernels:
-// bit-identical to it (and the row path) at any worker count. The rare
-// fallback combinations (e.g. Time rendered to String) stay sequential —
-// they are never hot.
+// bit-identical to it (and the row path) at any worker count.
 func FromVectorCoercedSharded(table, column string, vec *relational.ColumnVector, typ relational.Type, workers int) (*ColumnStats, int) {
 	src := vec.Type()
 	if typ == src {
@@ -117,29 +116,16 @@ func FromVectorCoercedSharded(table, column string, vec *relational.ColumnVector
 	if impossibleCoercion(src, typ) {
 		return Values(table, column, typ, make([]relational.Value, vec.NullCount())), vec.Len() - vec.NullCount()
 	}
-	switch src {
-	case relational.String:
+	switch {
+	case typ == relational.String:
+		return toStringSharded(table, column, vec, workers), 0
+	case src == relational.String:
 		return coercedFromStringSharded(table, column, vec, typ, workers)
-	case relational.Integer:
-		switch typ {
-		case relational.Float:
-			return intToFloatSharded(table, column, vec, workers), 0
-		case relational.String:
-			return intToStringSharded(table, column, vec, workers), 0
-		}
-	case relational.Float:
-		switch typ {
-		case relational.Integer:
-			return floatToIntSharded(table, column, vec, workers)
-		case relational.String:
-			return floatToStringSharded(table, column, vec, workers), 0
-		}
-	case relational.Bool:
-		if typ == relational.String {
-			return boolToString(table, column, vec), 0 // two-entry dict: nothing to shard
-		}
+	case src == relational.Integer: // to Float: the only other possible target
+		return intToFloatSharded(table, column, vec, workers), 0
+	default: // Float to Integer
+		return floatToIntSharded(table, column, vec, workers)
 	}
-	return coercedFallback(table, column, vec, typ)
 }
 
 // concatChunks stitches per-chunk dense vectors back into one row-order
@@ -475,21 +461,28 @@ func timeKernelSharded(cs *ColumnStats, times []time.Time, nulls *relational.Bit
 }
 
 // stringPartial is one dictionary shard's contribution to the fused
-// string kernel.
+// string kernel. Pattern tallies live in patternCounts, indexed through
+// patterns, so a repeat pattern is counted without assigning a map entry;
+// ASCII characters are tallied in a flat array and the rest in charCounts.
 type stringPartial struct {
-	patterns   map[string]int
-	charCounts map[rune]int
-	totalChars int
-	mult       map[int]int
-	distinct   int
-	tk         *topK
+	patterns      map[string]int32
+	patternCounts []int
+	ascii         [utf8.RuneSelf]int
+	charCounts    map[rune]int
+	totalChars    int
+	mult          map[int]int
+	distinct      int
+	tk            *topK
 }
 
 // stringKernelDictSharded is stringKernelDict sharded over dictionary
 // entries: each worker owns a contiguous dict range (disjoint runeLens
 // writes), partial tallies merge by integer sums, and the row-order
 // two-pass string-length accumulation stays sequential so its float
-// sequence matches the seed exactly.
+// sequence matches the seed exactly. Per entry the shard allocates
+// nothing once warm: the pattern is rendered into a buffer reused across
+// the shard and looked up by its bytes, so only a pattern's first
+// occurrence allocates its key.
 //
 //efes:hot
 func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []int32, nulls *relational.Bitmap, workers int) {
@@ -499,41 +492,59 @@ func stringKernelDictSharded(cs *ColumnStats, strs []string, occ []int, codes []
 	parts := make([]stringPartial, chunks)
 	shardRun(chunks, workers, func(k int) {
 		lo, hi := chunkSpan(k, len(strs))
-		p := stringPartial{
-			patterns:   make(map[string]int),
-			charCounts: make(map[rune]int),
-			mult:       make(map[int]int),
-			tk:         newTopK(),
-		}
+		p := &parts[k]
+		p.patterns = make(map[string]int32)
+		p.charCounts = make(map[rune]int)
+		p.mult = make(map[int]int)
+		p.tk = newTopK()
+		buf := make([]byte, 0, 64)
 		for c := lo; c < hi; c++ {
 			n := occ[c]
 			if n == 0 {
 				continue // dead dictionary entry
 			}
+			s := strs[c]
 			p.distinct++
 			p.mult[n]++
-			p.tk.considerString(n, strs[c])
-			p.patterns[Pattern(strs[c])] += n
+			p.tk.considerString(n, s)
+			buf = appendPattern(buf[:0], s)
+			pi, ok := p.patterns[string(buf)]
+			if !ok {
+				pi = int32(len(p.patternCounts))
+				//lint:ignore hotalloc the key is allocated on a pattern's first occurrence only; repeats hit the lookup above
+				p.patterns[string(buf)] = pi
+				p.patternCounts = append(p.patternCounts, 0) //lint:ignore hotalloc grows to the shard's distinct pattern count, amortized
+			}
+			p.patternCounts[pi] += n
 			rl := 0
-			for _, r := range strs[c] {
-				p.charCounts[r] += n
-				p.totalChars += n
+			for _, r := range s {
+				if r < utf8.RuneSelf {
+					p.ascii[r] += n
+				} else {
+					p.charCounts[r] += n
+				}
 				rl++
 			}
+			p.totalChars += n * rl
 			runeLens[c] = float64(rl)
 		}
-		parts[k] = p
 	})
 	patterns := make(map[string]int)
 	charCounts := make(map[rune]int)
 	mult := make(map[int]int)
 	totalChars, distinct := 0, 0
 	tk := newTopK()
-	for _, p := range parts {
+	for k := range parts {
+		p := &parts[k]
 		distinct += p.distinct
 		totalChars += p.totalChars
-		for s, n := range p.patterns {
-			patterns[s] += n
+		for s, i := range p.patterns {
+			patterns[s] += p.patternCounts[i]
+		}
+		for r, n := range p.ascii {
+			if n > 0 {
+				charCounts[rune(r)] += n
+			}
 		}
 		for r, n := range p.charCounts {
 			charCounts[r] += n
@@ -859,63 +870,14 @@ func floatToIntSharded(table, column string, vec *relational.ColumnVector, worke
 	return cs, incompatible
 }
 
-// intToStringSharded renders the derived dictionary sequentially (code
-// assignment follows first occurrence in row order) and runs the sharded
-// string kernel over it.
-//
-//efes:hot
-func intToStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
-	ints, nulls := vec.Ints(), vec.Nulls()
-	nonNull := vec.Len() - vec.NullCount()
-	m := make(map[int64]int32)
-	strs := make([]string, 0, nonNull)
-	occ := make([]int, 0, nonNull)
-	codes := make([]int32, len(ints))
-	for i, x := range ints {
-		if nulls.Get(i) {
-			continue
-		}
-		c, seen := m[x]
-		if !seen {
-			c = int32(len(strs))
-			m[x] = c
-			strs = append(strs, strconv.FormatInt(x, 10))
-			occ = append(occ, 0)
-		}
-		occ[c]++
-		codes[i] = c
-	}
+// toStringSharded is toString with the sharded string kernel: the
+// rendering dictionary is built sequentially (codes follow first
+// occurrence in row order) and its entries are sharded like a String
+// column's.
+func toStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
+	dict, codes, counts := relational.RenderDict(vec)
 	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDictSharded(cs, strs, occ, codes, nulls, workers)
-	return cs
-}
-
-// floatToStringSharded is intToStringSharded for float sources.
-//
-//efes:hot
-func floatToStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
-	floats, nulls := vec.Floats(), vec.Nulls()
-	nonNull := vec.Len() - vec.NullCount()
-	m := make(map[uint64]int32)
-	strs := make([]string, 0, nonNull)
-	occ := make([]int, 0, nonNull)
-	codes := make([]int32, len(floats))
-	for i, x := range floats {
-		if nulls.Get(i) {
-			continue
-		}
-		k := floatKey(x)
-		c, seen := m[k]
-		if !seen {
-			c = int32(len(strs))
-			m[k] = c
-			strs = append(strs, strconv.FormatFloat(x, 'g', -1, 64))
-			occ = append(occ, 0)
-		}
-		occ[c]++
-		codes[i] = c
-	}
-	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
-	stringKernelDictSharded(cs, strs, occ, codes, nulls, workers)
+	stringKernelDictSharded(cs, dict, counts, codes, vec.Nulls(), workers)
+	detachTopK(cs)
 	return cs
 }

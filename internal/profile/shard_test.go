@@ -69,13 +69,13 @@ func TestShardedMultiChunk(t *testing.T) {
 		case relational.String:
 			dst = relational.Integer // coercedFromStringSharded
 		case relational.Integer:
-			dst = relational.String // intToStringSharded + sharded string kernel
+			dst = relational.String // toStringSharded: rendering dictionary + sharded string kernel
 		case relational.Float:
 			dst = relational.Integer // floatToIntSharded
 		case relational.Bool:
 			dst = relational.String
 		default:
-			dst = relational.String // coercedFallback
+			dst = relational.String // toStringSharded over RFC3339 renderings
 		}
 		wantC, wantInc := FromVectorCoerced("t", "c", vec, dst)
 		for _, workers := range shardWorkerCounts {

@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"efes/internal/relational"
 )
@@ -309,12 +309,41 @@ func histogramOf(xs []float64, lo, hi float64) Histogram {
 // other character is kept literally. E.g. "4:43" -> "9:9",
 // "Sweet Home Alabama" -> "a a a", "215900" -> "9".
 func Pattern(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
+	var buf [64]byte
+	return string(appendPattern(buf[:0], s))
+}
+
+// asciiClass maps each ASCII character to its pattern class: '9' for
+// digits, 'a' for letters, ' ' for whitespace, and itself otherwise —
+// what the unicode predicates of appendPattern decide for these runes.
+var asciiClass = func() (t [utf8.RuneSelf]byte) {
+	for r := range t {
+		switch {
+		case unicode.IsDigit(rune(r)):
+			t[r] = '9'
+		case unicode.IsLetter(rune(r)):
+			t[r] = 'a'
+		case unicode.IsSpace(rune(r)):
+			t[r] = ' '
+		default:
+			t[r] = byte(r)
+		}
+	}
+	return t
+}()
+
+// appendPattern appends Pattern(s) to buf and returns the extended
+// buffer. ASCII runes are classified by table lookup; others fall back to
+// the unicode predicates. The string kernels call it with one buffer
+// reused across a whole dictionary shard, so computing a pattern costs no
+// allocation once the buffer has grown to the longest pattern.
+func appendPattern(buf []byte, s string) []byte {
 	var last rune
 	for _, r := range s {
 		var c rune
 		switch {
+		case r < utf8.RuneSelf:
+			c = rune(asciiClass[r])
 		case unicode.IsDigit(r):
 			c = '9'
 		case unicode.IsLetter(r):
@@ -327,8 +356,8 @@ func Pattern(s string) string {
 		if (c == '9' || c == 'a' || c == ' ') && c == last {
 			continue // compress runs of the same class
 		}
-		b.WriteRune(c)
+		buf = utf8.AppendRune(buf, c)
 		last = c
 	}
-	return b.String()
+	return buf
 }

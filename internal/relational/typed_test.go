@@ -1,6 +1,8 @@
 package relational
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -111,6 +113,60 @@ func TestSortedDistinctConcurrent(t *testing.T) {
 	for i, r := range results {
 		if len(r) != 37 {
 			t.Fatalf("goroutine %d: %d distinct values, want 37", i, len(r))
+		}
+	}
+}
+
+// TestRenderDictMatchesFormatValue checks RenderDict against a map keyed
+// by FormatValue renderings, for every non-String type: entries in
+// first-occurrence order, codes and counts consistent, NULL rows
+// skipped, and values that render alike (NaN payloads, times equal to
+// the second) collapsed while -0 and 0 stay apart.
+func TestRenderDictMatchesFormatValue(t *testing.T) {
+	zone := time.FixedZone("X", 3600)
+	base := time.Date(2024, 5, 1, 10, 30, 0, 0, time.UTC)
+	columns := map[Type][]Value{
+		Integer: {int64(7), nil, int64(-3), int64(7), int64(0), nil, int64(-3), int64(1) << 62},
+		Float:   {0.5, math.Copysign(0, -1), 0.0, math.NaN(), nil, math.Float64frombits(0x7ff8000000000001), math.Inf(-1), 0.5, 1e21},
+		Bool:    {nil, true, true, false, nil, true},
+		Time:    {base, nil, base.Add(300 * time.Millisecond), base.In(zone), base.Add(time.Second), base},
+	}
+	for typ, vals := range columns {
+		s := NewSchema("render")
+		s.MustAddTable(MustTable("t", Column{Name: "c", Type: typ}))
+		db := NewDatabase(s)
+		for _, v := range vals {
+			db.MustInsert("t", v)
+		}
+		var want []string
+		wantCounts := map[string]int{}
+		for _, v := range db.MustColumn("t", "c") {
+			if v == nil {
+				continue
+			}
+			r := FormatValue(v)
+			if wantCounts[r] == 0 {
+				want = append(want, r)
+			}
+			wantCounts[r]++
+		}
+		vec := db.Vector("t", "c")
+		dict, codes, counts := RenderDict(vec)
+		if !reflect.DeepEqual(dict, want) && !(len(dict) == 0 && len(want) == 0) {
+			t.Fatalf("%s: dict = %q, want %q", typ, dict, want)
+		}
+		if len(codes) != vec.Len() || len(counts) != len(dict) {
+			t.Fatalf("%s: %d codes for %d rows, %d counts for %d entries", typ, len(codes), vec.Len(), len(counts), len(dict))
+		}
+		for c, r := range dict {
+			if counts[c] != wantCounts[r] {
+				t.Errorf("%s: count of %q = %d, want %d", typ, r, counts[c], wantCounts[r])
+			}
+		}
+		for i, v := range db.MustColumn("t", "c") {
+			if v != nil && dict[codes[i]] != FormatValue(v) {
+				t.Errorf("%s: row %d renders %q, want %q", typ, i, dict[codes[i]], FormatValue(v))
+			}
 		}
 	}
 }
