@@ -28,9 +28,9 @@ import (
 // tuple→value CSR) the first time a query needs its elements or
 // adjacency, and an equality relationship is linked the first time
 // either direction is traversed. A single-edge tuple→value degree query
-// on an attribute not yet interned is answered from the column's null
-// bitmap. The structure detector's path queries touch only a few
-// attributes of a source, so the rest are never interned.
+// never interns: it is answered from the column's null bitmap. The
+// structure detector's path queries touch only a few attributes of a
+// source, so the rest are never interned.
 //
 // The string-based Instance remains the semantic oracle: intern_test.go
 // property-tests element, link-count, violation-split, and sample identity
@@ -213,23 +213,6 @@ func (in *Interned) edge(e *Edge) *csrAdj {
 	return in.adj[e]
 }
 
-// pendingDegree answers a tuple→value degree query without interning:
-// when e runs from a table to an attribute not interned yet, each tuple
-// links to exactly one value unless its cell is NULL, so the column's
-// null bitmap is the degree vector. ok is false otherwise.
-func (in *Interned) pendingDegree(e *Edge) (nulls *relational.Bitmap, ok bool) {
-	col, isAttr := in.cols[e.To]
-	if !isAttr || col.edge != e {
-		return nil, false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.nodes[e.To] != nil {
-		return nil, false
-	}
-	return col.vec.Nulls(), true
-}
-
 // indexLocked returns (building on first use) the rendered-element → ID
 // index of node n with element table et; in.mu must be held. A table
 // node's index is empty: its elements are tuple identities, not values.
@@ -264,18 +247,19 @@ func (in *Interned) lookup(n *Node, et *elemTable) map[string]int32 {
 func buildAttribute(v *relational.ColumnVector) (*elemTable, *csrAdj) {
 	nRows := v.Len()
 	nulls := v.Nulls()
-	elems, codes, _ := relational.RenderDict(v)
+	var elems []string
+	var codes []int32
 	if v.Type() == relational.String {
 		// The vector's own dictionary is in append order and may keep
 		// dead entries: renumber the live ones by first occurrence.
-		dict := elems
+		dict := v.Dict()
 		code2id := make([]int32, len(dict))
 		for i := range code2id {
 			code2id[i] = -1
 		}
 		live := make([]string, 0, nRows-v.NullCount()) // distinct ≤ non-NULL rows
 		ids := make([]int32, nRows)
-		for i, code := range codes {
+		for i, code := range v.Codes() {
 			if nulls.Get(i) {
 				continue
 			}
@@ -288,6 +272,8 @@ func buildAttribute(v *relational.ColumnVector) (*elemTable, *csrAdj) {
 			ids[i] = id
 		}
 		elems, codes = live, ids
+	} else {
+		elems, codes, _ = relational.RenderDict(v)
 	}
 	fwd := &csrAdj{offsets: make([]int32, nRows+1), targets: codes}
 	if v.NullCount() == 0 {
@@ -482,9 +468,11 @@ func (in *Interned) LinkCounts(p Path) []int32 {
 	if len(p) == 1 {
 		// Single edge: links are distinct by construction (one value per
 		// row and column; equality links pair distinct values), so the
-		// count is the CSR degree — or, for tuple→value links of an
-		// attribute not interned yet, 1 per non-NULL cell.
-		if nulls, ok := in.pendingDegree(p[0]); ok {
+		// count is the CSR degree. A tuple→value edge needs no CSR: each
+		// tuple links to exactly one value unless its cell is NULL, so
+		// the column's null bitmap is the degree vector.
+		if col, ok := in.cols[p[0].To]; ok && col.edge == p[0] {
+			nulls := col.vec.Nulls()
 			for i := range counts {
 				if !nulls.Get(i) {
 					counts[i] = 1

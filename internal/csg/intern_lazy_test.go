@@ -19,7 +19,7 @@ type internQuery struct {
 // a randomized intern database, answered up front by the string oracle.
 // Paths are drawn between random node pairs, so many cross the equality
 // relationship, and the single-edge tuple→value paths hit the null
-// bitmap degree query when their attribute is not interned yet.
+// bitmap degree query both before and after their attribute is interned.
 func randomInternQueries(r *rand.Rand, g *Graph, oracle *Instance, n int) []internQuery {
 	sampleCards := []Card{CardOne, CardOpt, CardMany, CardAny, CardEmpty, Exactly(0), Interval(2, 3)}
 	nodes, edges := g.Nodes(), g.Edges()

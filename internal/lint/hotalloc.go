@@ -168,7 +168,7 @@ func (h *hotWalker) walk(node ast.Node) {
 			h.stores[ix] = true
 		}
 	case *ast.IndexExpr:
-		if !h.stores[x] && h.isMap(x.X) {
+		if !h.stores[x] && h.isStringKeyedMap(x.X) {
 			if call, ok := ast.Unparen(x.Index).(*ast.CallExpr); ok && h.isBytesToString(call) {
 				h.readKeys[call] = true
 			}
@@ -183,14 +183,16 @@ func (h *hotWalker) walk(node ast.Node) {
 	}
 }
 
-// isMap reports whether e is map-typed.
-func (h *hotWalker) isMap(e ast.Expr) bool {
+// isStringKeyedMap reports whether e is a map whose key type is a
+// string type. Only then does the compiler look m[string(b)] up without
+// copying the bytes: an interface-keyed map boxes a copy of the key.
+func (h *hotWalker) isStringKeyedMap(e ast.Expr) bool {
 	tv, ok := h.pass.Pkg.Info.Types[e]
 	if !ok || tv.Type == nil {
 		return false
 	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
-	return isMap
+	m, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap && isStringType(m.Key())
 }
 
 // isBytesToString reports whether call is a string([]byte) conversion.

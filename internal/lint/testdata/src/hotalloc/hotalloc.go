@@ -105,20 +105,22 @@ func ResetAfter(xs []int) int {
 
 // MapKeys: a map-index read keyed by string(b), plain or comma-ok, is
 // looked up without copying the bytes and passes; storing through that
-// index, or converting outside an index, copies and is flagged.
+// index, converting outside an index, or reading an interface-keyed map
+// copies and is flagged.
 //
 //efes:hot
-func MapKeys(m map[string]int, rows [][]byte) int {
+func MapKeys(m map[string]int, boxed map[any]int, rows [][]byte) int {
 	total := 0
 	for _, b := range rows {
 		total += m[string(b)] // clean: the compiler elides the copy
 		if _, ok := m[string(b)]; ok {
 			total++ // clean: comma-ok read
 		}
-		m[string(b)] = total // want hotalloc: the stored key is a copy
-		m[string(b)] += 1    // want hotalloc: op-assign stores the key
-		m[string(b)]++       // want hotalloc: so does an increment
-		k := string(b)       // want hotalloc: conversion outside an index
+		m[string(b)] = total      // want hotalloc: the stored key is a copy
+		m[string(b)] += 1         // want hotalloc: op-assign stores the key
+		m[string(b)]++            // want hotalloc: so does an increment
+		k := string(b)            // want hotalloc: conversion outside an index
+		total += boxed[string(b)] // want hotalloc: an interface key boxes a copy
 		total += len(k)
 	}
 	return total

@@ -60,14 +60,14 @@ func FormatTime(t time.Time) string {
 	return t.Format(time.RFC3339)
 }
 
-// RenderDict dictionary-encodes a column by its FormatValue rendering,
-// the encoding a String column keeps natively: dict holds the distinct
-// renderings of the non-NULL rows in first-occurrence row order, codes
-// holds one entry per row (meaningless for NULL rows), and counts holds
-// the occurrences of each entry. Every entry is a slice of one arena
-// string, so the encoding allocates a handful of slices plus the dedup
-// map, not one string per distinct value. A String column returns its
-// own Dict, Codes and Counts (append order, dead entries included).
+// RenderDict dictionary-encodes a non-String column by its FormatValue
+// rendering, the encoding a String column keeps natively: dict holds the
+// distinct renderings of the non-NULL rows in first-occurrence row
+// order, codes holds one entry per row (meaningless for NULL rows), and
+// counts holds the occurrences of each entry. Every entry is a slice of
+// one arena string, so the encoding allocates a handful of slices plus
+// the dedup map, not one string per distinct value. It panics on a
+// String column, whose own Dict, Codes and Counts are the encoding.
 //
 // The result is rebuilt on every call and never memoized on the vector:
 // its consumers (the profiler's coercion to String, the CSG interning of
@@ -76,9 +76,6 @@ func FormatTime(t time.Time) string {
 //
 //efes:hot
 func RenderDict(v *ColumnVector) (dict []string, codes []int32, counts []int) {
-	if v.typ == String {
-		return v.dict, v.codes, v.counts
-	}
 	d := renderedDict{codes: make([]int32, v.length)}
 	switch v.typ {
 	case Integer:
@@ -144,6 +141,8 @@ func RenderDict(v *ColumnVector) (dict []string, codes []int32, counts []int) {
 			}
 			d.add(i, c)
 		}
+	default:
+		panic("relational: RenderDict of a " + v.typ.String() + " column")
 	}
 	all := string(d.arena)
 	dict = make([]string, len(d.ends))
