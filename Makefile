@@ -32,13 +32,15 @@ faults:
 efesd-smoke:
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/
 
-# Fuzz the CSV ingest (relational.ReadCSV) against its reference decoder
-# for a bounded time; the committed seed corpus already runs in every
-# `go test`. A crasher lands in internal/relational/testdata/fuzz and
-# stays there as a regression seed once fixed.
+# Fuzz each target for a bounded time (FUZZTIME per target): the CSV
+# ingest (relational.ReadCSV) against its reference decoder, and the CSG
+# pair-key decoder (csg.SplitPair) against its encoder. The committed
+# seed corpora already run in every `go test`. A crasher lands in the
+# package's testdata/fuzz and stays there as a regression seed once fixed.
 FUZZTIME ?= 30s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/relational/
+	go test -run '^$$' -fuzz '^FuzzSplitPair$$' -fuzztime $(FUZZTIME) ./internal/csg/
 
 build:
 	go build ./...
@@ -73,7 +75,12 @@ bench:
 # structure detector: StructureLarge (lazy CSG interning plus violation
 # counting) ran ~2.3 ms on the reference machine, and 12 ms applies the
 # same ~5x headroom; which attributes get interned at all is pinned
-# exactly by TestStructureAssessmentSkipsUnreadAttributes.
+# exactly by TestStructureAssessmentSkipsUnreadAttributes. The sixth gates
+# the running example's structure detector, which is mostly §4.1 path
+# search: Table3StructureConflicts ran ~0.3 ms on a 2-CPU Xeon, and
+# 1.5 ms applies the same ~5x headroom; that a path search step
+# allocates nothing is pinned exactly by
+# TestFindPathsAllocsProportionalToPaths.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
@@ -84,3 +91,5 @@ bench-smoke:
 		-out '' -assert BenchmarkIngestLarge=125ms
 	go run ./cmd/benchjson -bench '^BenchmarkStructureLarge$$' -benchtime 3x \
 		-out '' -assert BenchmarkStructureLarge=12ms
+	go run ./cmd/benchjson -bench '^BenchmarkTable3StructureConflicts$$' -benchtime 3x \
+		-out '' -assert BenchmarkTable3StructureConflicts=1.5ms

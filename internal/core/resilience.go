@@ -198,14 +198,14 @@ func (f *Framework) attemptDetector(ctx context.Context, m Module, s *Scenario) 
 	// completion. Shrinking the buffer or adding a second dynamic send
 	// would turn the abandon path into a permanent goroutine leak.
 	//
-	// The one transitive wait the analyzer flags — csg.findRoundParallel's
-	// WaitGroup.Wait — is bounded: every branch it joins is Add/defer-Done
-	// paired, runs a finite depth-limited DFS under a step budget, and
-	// polls mctx every 1024 visits, so when the select below abandons the
-	// attempt the deferred cancel unblocks the branches and the Wait (and
-	// with it this goroutine) still terminates promptly.
+	// The one transitive wait the analyzer flags — the durable profile
+	// store's os.ReadFile under persist.Cache.Get, reached through the
+	// value-fit detector's profiler — is bounded: it reads one entry file
+	// of the local cache directory, which completes (or fails) on its own
+	// without waiting for any other goroutine, so the abandoned attempt
+	// still runs to completion.
 	ch := make(chan detectorOutcome, 1)
-	//lint:ignore goleak findRoundParallel's Wait is bounded (branches are Add/defer-Done paired, budget-limited, and poll mctx), so the detached attempt always runs to completion; the cap-1 buffered send then never blocks
+	//lint:ignore goleak the only transitive wait is persist.Cache.Get's os.ReadFile of one local cache entry, which completes without waiting on another goroutine; the cap-1 buffered send then never blocks
 	go func() {
 		defer func() {
 			if v := recover(); v != nil {

@@ -48,18 +48,22 @@ func PairElem(a, b string) string {
 	return fmt.Sprintf("%d:%s|%s", len(a), a, b)
 }
 
-// SplitPair decodes a PairElem.
+// SplitPair decodes a PairElem. It accepts only what PairElem produces:
+// the length prefix must be a canonical decimal (no sign, no leading
+// zero), so every accepted p satisfies PairElem(a, b) == p.
 func SplitPair(p string) (string, string, bool) {
 	i := strings.IndexByte(p, ':')
-	if i < 0 {
+	if i < 1 || (p[0] == '0' && i > 1) {
 		return "", "", false
+	}
+	for j := 0; j < i; j++ {
+		if p[j] < '0' || p[j] > '9' {
+			return "", "", false
+		}
 	}
 	n, err := strconv.Atoi(p[:i])
-	if err != nil || n < 0 {
-		return "", "", false
-	}
 	rest := p[i+1:]
-	if len(rest) < n+1 || rest[n] != '|' {
+	if err != nil || n >= len(rest) || rest[n] != '|' {
 		return "", "", false
 	}
 	return rest[:n], rest[n+1:], true

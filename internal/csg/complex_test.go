@@ -28,6 +28,22 @@ func TestPairElemRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzSplitPair checks that SplitPair never panics and accepts only
+// PairElem encodings. The committed corpus (testdata/fuzz/FuzzSplitPair)
+// holds the overflowing length prefix that used to index out of range
+// and the non-canonical prefixes that used to be accepted.
+func FuzzSplitPair(f *testing.F) {
+	for _, p := range []string{PairElem("a", "b"), PairElem("", ""), PairElem("12:34", "5:6|7")} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		a, b, ok := SplitPair(p)
+		if ok && PairElem(a, b) != p {
+			t.Errorf("SplitPair(%q) = (%q, %q), but PairElem gives %q", p, a, b, PairElem(a, b))
+		}
+	})
+}
+
 func TestAtomicRelMatchesLinkCounts(t *testing.T) {
 	g, in := buildFigure2Instance(t)
 	p := BestPath(FindPaths(g, g.Node("albums"), g.Node("artist_credits.artist"), MaxPathLength))

@@ -3,7 +3,6 @@ package csg
 import (
 	"context"
 	"sort"
-	"sync"
 )
 
 // MaxPathLength bounds the path enumeration of the matcher. Real target
@@ -44,28 +43,42 @@ func FindPaths(g *Graph, from, to *Node, maxLen int) []Path {
 	return out
 }
 
-// pathSearch is the state of one depth-limited DFS traversal: a goroutine
-// confines one pathSearch, so branch traversals share nothing.
+// pathSearch is the state of one depth-limited DFS traversal.
 type pathSearch struct {
 	ctx       context.Context
 	g         *Graph
-	to        *Node
+	from, to  *Node
 	limit     int
-	maxPaths  int
 	steps     int
 	cancelled bool
-	visited   map[*Node]bool
 	current   Path
 	out       []Path
 }
 
-// dfs extends the current path from n, collecting simple paths of exactly
-// s.limit edges ending at s.to. Every node visit costs one step; the
-// traversal aborts once the step budget or the path cap is exceeded, and
-// polls the context every 1024 visits.
+// onPath reports whether n is on the current path: the start node or the
+// head of one of its edges. A path has at most limit (in practice
+// MaxPathLength) edges, so the scan is as cheap as a set lookup and
+// allocates nothing.
+func (s *pathSearch) onPath(n *Node) bool {
+	if n == s.from {
+		return true
+	}
+	for _, e := range s.current {
+		if e.To == n {
+			return true
+		}
+	}
+	return false
+}
+
+// dfs extends the current path from n, appending simple paths of exactly
+// s.limit edges ending at s.to to s.out, which also holds the paths of
+// earlier rounds. Every node visit costs one step; the traversal aborts
+// once the round's step budget or the MaxPaths cap over all rounds is
+// exceeded, and polls the context every 1024 visits.
 func (s *pathSearch) dfs(n *Node) {
 	s.steps++
-	if s.cancelled || len(s.out) >= s.maxPaths || s.steps > maxStepsPerRound {
+	if s.cancelled || len(s.out) >= MaxPaths || s.steps > maxStepsPerRound {
 		return
 	}
 	if s.steps&1023 == 0 && s.ctx.Err() != nil {
@@ -84,91 +97,13 @@ func (s *pathSearch) dfs(n *Node) {
 		return
 	}
 	for _, e := range s.g.OutEdges(n) {
-		if s.visited[e.To] {
+		if s.onPath(e.To) {
 			continue
 		}
-		s.visited[e.To] = true
 		s.current = append(s.current, e)
 		s.dfs(e.To)
 		s.current = s.current[:len(s.current)-1]
-		s.visited[e.To] = false
 	}
-}
-
-// truncated reports whether the traversal was cut short by its step budget
-// or path cap (rather than running to exhaustion).
-func (s *pathSearch) truncated() bool {
-	return s.steps > maxStepsPerRound || len(s.out) >= s.maxPaths
-}
-
-// findRoundSequential runs one deepening round exactly as the original
-// single-threaded search: one traversal from the start node, in the
-// graph's edge-insertion order. prior is the number of paths found by
-// earlier rounds, which counts against the MaxPaths cap.
-func findRoundSequential(ctx context.Context, g *Graph, from, to *Node, limit, prior int) ([]Path, error) {
-	s := &pathSearch{ctx: ctx, g: g, to: to, limit: limit,
-		maxPaths: MaxPaths - prior, visited: map[*Node]bool{from: true}}
-	s.dfs(from)
-	if s.cancelled {
-		return nil, ctx.Err()
-	}
-	return s.out, nil
-}
-
-// findRoundParallel runs one deepening round with one traversal per start
-// edge, each in its own goroutine with fully private state. The merged
-// result is accepted only when no limit would have bound sequentially —
-// the root visit plus all branch visits fit the round's step budget and
-// prior plus all branch paths fit MaxPaths. Then every branch ran to
-// exhaustion, so concatenating them in edge order reproduces the
-// sequential enumeration exactly. Otherwise ok is false and the caller
-// reruns the round sequentially, reproducing the seed's deterministic
-// truncation (which depends on how the single traversal interleaves the
-// branches).
-func findRoundParallel(ctx context.Context, g *Graph, from, to *Node, limit, prior int) (paths []Path, ok bool, err error) {
-	edges := g.OutEdges(from)
-	branches := make([]*pathSearch, len(edges))
-	var wg sync.WaitGroup
-	for i, e := range edges {
-		if e.To == from {
-			continue // the sequential root loop skips self-loops the same way
-		}
-		s := &pathSearch{ctx: ctx, g: g, to: to, limit: limit,
-			maxPaths: MaxPaths - prior,
-			visited:  map[*Node]bool{from: true, e.To: true},
-			current:  Path{e}}
-		branches[i] = s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.dfs(e.To)
-		}()
-	}
-	wg.Wait()
-	totalSteps := 1 // the root visit of the sequential traversal
-	found := 0
-	for _, b := range branches {
-		if b == nil {
-			continue
-		}
-		if b.cancelled {
-			return nil, false, ctx.Err()
-		}
-		if b.truncated() {
-			return nil, false, nil // not exhaustive: let the sequential rerun decide
-		}
-		totalSteps += b.steps
-		found += len(b.out)
-	}
-	if totalSteps > maxStepsPerRound || prior+found > MaxPaths {
-		return nil, false, nil
-	}
-	for _, b := range branches {
-		if b != nil {
-			paths = append(paths, b.out...)
-		}
-	}
-	return paths, true, nil
 }
 
 // FindPathsContext is FindPaths with cancellation: the search checks the
@@ -177,49 +112,54 @@ func findRoundParallel(ctx context.Context, g *Graph, from, to *Node, limit, pri
 // hold exponentially many paths, so path search is the structure
 // detector's long pole under a module deadline).
 //
-// Each deepening round fans out across the start node's edges, one
-// goroutine per branch; when a round's step budget or the MaxPaths cap
-// binds, the round is rerun sequentially, so results — including truncated
-// ones — are bit-identical to the single-threaded search.
+// Each deepening round is one sequential depth-first traversal from the
+// start node that keeps only the current path, so a node visit allocates
+// nothing; the only allocations are one copy per path found and the
+// final sort's renderings.
 func FindPathsContext(ctx context.Context, g *Graph, from, to *Node, maxLen int) ([]Path, error) {
-	if from == nil || to == nil {
+	if from == nil || to == nil || maxLen < 1 {
 		return nil, nil
 	}
-	var out []Path
-	for limit := 1; limit <= maxLen && len(out) < MaxPaths; limit++ {
+	s := &pathSearch{ctx: ctx, g: g, from: from, to: to,
+		current: make(Path, 0, min(maxLen, MaxPathLength))}
+	for s.limit = 1; s.limit <= maxLen && len(s.out) < MaxPaths; s.limit++ {
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		var round []Path
-		if len(g.OutEdges(from)) > 1 {
-			var ok bool
-			var err error
-			round, ok, err = findRoundParallel(ctx, g, from, to, limit, len(out))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				round, err = findRoundSequential(ctx, g, from, to, limit, len(out))
-				if err != nil {
-					return nil, err
-				}
-			}
-		} else {
-			var err error
-			round, err = findRoundSequential(ctx, g, from, to, limit, len(out))
-			if err != nil {
-				return nil, err
-			}
+		s.steps = 0
+		s.dfs(from)
+		if s.cancelled {
+			return nil, ctx.Err()
 		}
-		out = append(out, round...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if len(out[i]) != len(out[j]) {
-			return len(out[i]) < len(out[j])
+	return sortPaths(s.out), nil
+}
+
+// sortPaths orders paths by length, then by string rendering. Each path
+// is rendered once up front; the sort permutes indices with the same
+// comparator (and thus the same comparison sequence) as sorting the
+// paths directly, so ties keep exactly the order that sort gives them.
+func sortPaths(paths []Path) []Path {
+	if len(paths) < 2 {
+		return paths
+	}
+	keys := make([]string, len(paths))
+	perm := make([]int, len(paths))
+	for i, p := range paths {
+		keys[i], perm[i] = p.String(), i
+	}
+	sort.Slice(perm, func(i, j int) bool {
+		a, b := perm[i], perm[j]
+		if len(paths[a]) != len(paths[b]) {
+			return len(paths[a]) < len(paths[b])
 		}
-		return out[i].String() < out[j].String()
+		return keys[a] < keys[b]
 	})
-	return out, nil
+	sorted := make([]Path, len(paths))
+	for i, k := range perm {
+		sorted[i] = paths[k]
+	}
+	return sorted
 }
 
 // MoreConcise reports whether path a is a strictly better match than path

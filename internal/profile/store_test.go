@@ -6,6 +6,7 @@ package profile
 // mutation, and the errors-never-persisted contract.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -103,6 +104,58 @@ func TestStoreCoercedViewRoundTrip(t *testing.T) {
 	}
 	if dh, comp := p2.DiskCounters(); dh != 1 || comp != 0 {
 		t.Errorf("warm coerced counters = %d/%d, want 1/0", dh, comp)
+	}
+}
+
+// TestSameTypeCoercedViewSharesRawEntry pins that viewing a column
+// through its own declared type is the raw profile — the same memo entry
+// and durable key, with nothing incompatible — in both modes and in
+// either lookup order, while a view through a different type still gets
+// an entry and a durable key of its own.
+func TestSameTypeCoercedViewSharesRawEntry(t *testing.T) {
+	ctx := context.Background()
+	db := profilerDB(t)
+	for _, mode := range []Mode{ModeExact, ModeApprox} {
+		for _, coercedFirst := range []bool{false, true} {
+			store := newMemStore()
+			p := NewProfiler(1).SetStore(store)
+			var raw, same *ColumnStats
+			var incompatible int
+			var err, cerr error
+			if coercedFirst {
+				same, incompatible, cerr = p.ColumnCoercedContextMode(ctx, db, "songs", "length", relational.Integer, mode)
+				raw, err = p.ColumnContextMode(ctx, db, "songs", "length", mode)
+			} else {
+				raw, err = p.ColumnContextMode(ctx, db, "songs", "length", mode)
+				same, incompatible, cerr = p.ColumnCoercedContextMode(ctx, db, "songs", "length", relational.Integer, mode)
+			}
+			if err != nil || cerr != nil {
+				t.Fatal(err, cerr)
+			}
+			if same != raw || incompatible != 0 {
+				t.Errorf("%s, coerced first %v: same-type coerced view = (%p, %d), want the raw entry %p with 0 incompatible",
+					mode, coercedFirst, same, incompatible, raw)
+			}
+			rawKey, _ := StatsKeyFor(db, "songs", "length", relational.Integer, false, mode)
+			coercedKey, _ := StatsKeyFor(db, "songs", "length", relational.Integer, true, mode)
+			if _, ok := store.Get(coercedKey); ok || p.Len() != 1 || store.len() != 1 {
+				t.Errorf("%s, coerced first %v: %d memo entries, %d durable entries, coerced key stored %v; want 1, 1, false",
+					mode, coercedFirst, p.Len(), store.len(), ok)
+			}
+			if _, ok := store.Get(rawKey); !ok {
+				t.Errorf("%s, coerced first %v: raw durable key missing", mode, coercedFirst)
+			}
+
+			asString, _, err := p.ColumnCoercedContextMode(ctx, db, "songs", "length", relational.String, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stringKey, _ := StatsKeyFor(db, "songs", "length", relational.String, true, mode)
+			if _, ok := store.Get(stringKey); asString == raw || !ok || p.Len() != 2 {
+				t.Errorf("%s, coerced first %v: a view through another type must get its own entry and durable key (shared %v, stored %v, %d entries)",
+					mode, coercedFirst, asString == raw, ok, p.Len())
+			}
+		}
 	}
 }
 
