@@ -33,14 +33,16 @@ efesd-smoke:
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/
 
 # Fuzz each target for a bounded time (FUZZTIME per target): the CSV
-# ingest (relational.ReadCSV) against its reference decoder, and the CSG
-# pair-key decoder (csg.SplitPair) against its encoder. The committed
+# ingest (relational.ReadCSV) against its reference decoder, the CSG
+# pair-key decoder (csg.SplitPair) against its encoder, and the effort
+# config loader (effort.LoadConfig) against its writer. The committed
 # seed corpora already run in every `go test`. A crasher lands in the
 # package's testdata/fuzz and stays there as a regression seed once fixed.
 FUZZTIME ?= 30s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/relational/
 	go test -run '^$$' -fuzz '^FuzzSplitPair$$' -fuzztime $(FUZZTIME) ./internal/csg/
+	go test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/effort/
 
 build:
 	go build ./...
@@ -80,7 +82,15 @@ bench:
 # search: Table3StructureConflicts ran ~0.3 ms on a 2-CPU Xeon, and
 # 1.5 ms applies the same ~5x headroom; that a path search step
 # allocates nothing is pinned exactly by
-# TestFindPathsAllocsProportionalToPaths.
+# TestFindPathsAllocsProportionalToPaths. The seventh gates the String
+# view of the paper-size songs.length column (Table 6's length ->
+# duration), which the decimal kernel profiles straight from the typed
+# integers: ProfileIntAsStringPaper ran ~25 ms on a 2-CPU Xeon, and 125 ms
+# applies the same ~5x headroom. Like the others, a ~5x gate catches
+# gross regressions only: the rendering path it replaced read 92-200 ms
+# on the same host, so a return to it need not fail the gate. That the
+# kernel's output is the rendered path's, bit for bit, is pinned by
+# TestDecimalViewEdgeCases and TestDurableProfileBytesPinned.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
@@ -93,3 +103,5 @@ bench-smoke:
 		-out '' -assert BenchmarkStructureLarge=12ms
 	go run ./cmd/benchjson -bench '^BenchmarkTable3StructureConflicts$$' -benchtime 3x \
 		-out '' -assert BenchmarkTable3StructureConflicts=1.5ms
+	go run ./cmd/benchjson -bench '^BenchmarkProfileIntAsStringPaper$$' -benchtime 3x \
+		-out '' -assert BenchmarkProfileIntAsStringPaper=125ms

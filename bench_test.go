@@ -497,6 +497,30 @@ func BenchmarkProfileDatabaseLargeSharded(b *testing.B) {
 	}
 }
 
+// paperSongLengths lazily builds the PaperExampleConfig source and
+// returns its songs.length vector: 274,523 integer milliseconds with
+// 260,923 distinct values (Table 6).
+var paperSongLengths = sync.OnceValue(func() *relational.ColumnVector {
+	db := scenario.MusicExample(scenario.PaperExampleConfig()).Sources[0].DB
+	return db.Vector("songs", "length")
+})
+
+// BenchmarkProfileIntAsStringPaper profiles the paper-size songs.length
+// column as seen through the target's String type (Table 6's
+// length -> duration), with the sharded exact kernels at GOMAXPROCS
+// workers: the one coerced view Algorithm 1 needs at full size.
+func BenchmarkProfileIntAsStringPaper(b *testing.B) {
+	vec := paperSongLengths()
+	workers := runtime.GOMAXPROCS(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs, _ := profile.FromVectorCoercedSharded("songs", "length", vec, relational.String, workers)
+		if cs.Distinct != 260923 {
+			b.Fatalf("distinct = %d, want 260923", cs.Distinct)
+		}
+	}
+}
+
 // BenchmarkFullEstimateLarge runs the complete two-phase pipeline at
 // LargeExampleConfig scale.
 func BenchmarkFullEstimateLarge(b *testing.B) {

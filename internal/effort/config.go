@@ -140,11 +140,24 @@ func LoadConfig(r io.Reader) (Config, error) {
 		return Config{}, fmt.Errorf("effort: config declares no effort functions")
 	}
 	// Validate in sorted task-type order so that a config with several
-	// problems always reports the same one first.
+	// problems always reports the same one first. A piecewise branch may
+	// itself be piecewise, so the whole Below chain is checked.
 	for _, tt := range c.TaskTypes() {
-		if spec := c.Functions[tt]; spec.SwitchParam != "" && spec.Below == nil {
+		spec := c.Functions[tt]
+		if !spec.branchesComplete() {
 			return Config{}, fmt.Errorf("effort: config for %q has switchParam but no below branch", tt)
 		}
 	}
 	return c, nil
+}
+
+// branchesComplete reports whether every spec along s's Below chain that
+// declares a switchParam also has a below branch to switch to.
+func (s *FunctionSpec) branchesComplete() bool {
+	for ; s != nil; s = s.Below {
+		if s.SwitchParam != "" && s.Below == nil {
+			return false
+		}
+	}
+	return true
 }

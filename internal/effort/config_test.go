@@ -2,6 +2,7 @@ package effort
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -69,8 +70,10 @@ func TestLoadConfigErrors(t *testing.T) {
 	bad := []string{
 		``,
 		`{`,
-		`{"settings":{},"functions":{"X":{"switchParam":"n"}}}`, // switch without below
-		`{"settings":{},"bogusField":1,"functions":{"X":{}}}`,   // unknown field
+		`{"settings":{},"functions":{"X":{"switchParam":"n"}}}`,                                                         // switch without below
+		`{"settings":{},"functions":{"X":{"switchParam":"x","below":{"switchParam":"y"}}}}`,                             // nested switch without below
+		`{"settings":{},"functions":{"X":{"switchParam":"x","below":{"switchParam":"y","below":{"switchParam":"z"}}}}}`, // two levels down
+		`{"settings":{},"bogusField":1,"functions":{"X":{}}}`,                                                           // unknown field
 		`{"settings":{}}`, // no functions
 	}
 	for _, text := range bad {
@@ -131,4 +134,101 @@ func TestConfigMappingToolOverride(t *testing.T) {
 	if got := est.Total(); got != 2 {
 		t.Errorf("mapping-tool override lost in config path: %v", got)
 	}
+}
+
+// TestLoadConfigNestedSwitchError: a piecewise branch deep in the Below
+// chain without its own below branch is reported with the same error as
+// a top-level one.
+func TestLoadConfigNestedSwitchError(t *testing.T) {
+	_, err := LoadConfig(strings.NewReader(`{"settings":{},"functions":{"X":{"switchParam":"x","below":{"switchParam":"y"}}}}`))
+	want := `effort: config for "X" has switchParam but no below branch`
+	if err == nil || err.Error() != want {
+		t.Errorf("nested switch without below: err = %v, want %q", err, want)
+	}
+	nested := `{"settings":{},"functions":{"X":{"switchParam":"x","switchBelow":5,"below":{"switchParam":"y","switchBelow":2,"below":{"constant":1}}}}}`
+	if _, err := LoadConfig(strings.NewReader(nested)); err != nil {
+		t.Errorf("complete nested chain rejected: %v", err)
+	}
+}
+
+// fuzzTasks is the fixed task list every accepted fuzz config must price
+// without panicking: each Table 9 task type with the parameters the
+// planners pass, plus a type no default config knows.
+func fuzzTasks() []Task {
+	params := map[string]float64{
+		"dist-vals": 150, "values": 40, "tables": 2, "attributes": 5, "PKs": 1, "FKs": 1,
+	}
+	var tasks []Task
+	for _, tt := range DefaultConfig().TaskTypes() {
+		tasks = append(tasks, Task{Type: tt, Repetitions: 3, Params: params})
+	}
+	return append(tasks, Task{Type: "Custom audit", Repetitions: 1, Params: params})
+}
+
+// normalizeConfig drops empty perParam maps, which WriteJSON omits and
+// LoadConfig therefore reads back as nil; both price identically.
+func normalizeConfig(c Config) Config {
+	var norm func(s FunctionSpec) FunctionSpec
+	norm = func(s FunctionSpec) FunctionSpec {
+		if len(s.PerParam) == 0 {
+			s.PerParam = nil
+		}
+		if s.Below != nil {
+			b := norm(*s.Below)
+			s.Below = &b
+		}
+		return s
+	}
+	out := Config{Settings: c.Settings, Functions: make(map[TaskType]FunctionSpec, len(c.Functions))}
+	for tt, s := range c.Functions {
+		out.Functions[tt] = norm(s)
+	}
+	return out
+}
+
+// FuzzLoadConfig feeds arbitrary bytes to LoadConfig. It must never
+// panic, and a config it accepts must (1) give every switchParam along
+// every Below chain a below branch, (2) come back equal through
+// WriteJSON -> LoadConfig, and (3) materialize a calculator that prices
+// fuzzTasks without panicking (an error for an unknown task type or a
+// negative effort is fine). The committed corpus
+// (testdata/fuzz/FuzzLoadConfig) holds the nested switchParam without a
+// below branch that LoadConfig used to accept.
+func FuzzLoadConfig(f *testing.F) {
+	var def bytes.Buffer
+	if err := DefaultConfig().WriteJSON(&def); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def.Bytes())
+	f.Add([]byte(`{"settings":{"SkillFactor":2},"functions":{"Reject tuples":{"constant":8,"perParam":{}}}}`))
+	f.Add([]byte(`{"settings":{},"functions":{"X":{"switchParam":"n"}}}`))
+	tasks := fuzzTasks()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadConfig(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for tt, spec := range c.Functions {
+			for s := &spec; s != nil; s = s.Below {
+				if s.SwitchParam != "" && s.Below == nil {
+					t.Fatalf("accepted %q: switchParam %q has no below branch", tt, s.SwitchParam)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := c.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of an accepted config: %v", err)
+		}
+		back, err := LoadConfig(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("reloading %s: %v", buf.Bytes(), err)
+		}
+		if !reflect.DeepEqual(normalizeConfig(c), normalizeConfig(back)) {
+			t.Fatalf("round trip changed the config:\n%+v\n%+v", c, back)
+		}
+		calc := c.Calculator()
+		for _, q := range []Quality{LowEffort, HighQuality} {
+			_, _ = calc.Price(q, tasks)
+		}
+	})
 }

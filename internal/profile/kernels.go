@@ -118,7 +118,8 @@ func newStats(table, column string, typ relational.Type, rows, nulls int) *Colum
 // distinct string processed once, weighted by its occurrence count — and
 // two passes over the code vector replicate the seed's row-order string-
 // length accumulation. It serves the raw string column and every derived
-// to-string view (the rendering dictionaries of toString).
+// to-string view of the single-pass path (the rendering dictionaries of
+// toString).
 //
 //efes:hot
 func stringKernelDict(cs *ColumnStats, strs []string, occ []int, codes []int32, nulls *relational.Bitmap) {
@@ -460,7 +461,9 @@ func floatToInt(table, column string, vec *relational.ColumnVector) (*ColumnStat
 // toString profiles a non-String column coerced to String: its
 // FormatValue rendering dictionary (relational.RenderDict) runs through
 // the fused string kernel exactly as a String column's own dictionary
-// does.
+// does. It renders every type, Integer included, and so stays the
+// independent oracle of the sharded decimal kernel (decimalKernelSharded),
+// which profiles an Integer column's String view without rendering it.
 func toString(table, column string, vec *relational.ColumnVector) *ColumnStats {
 	dict, codes, counts := relational.RenderDict(vec)
 	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
@@ -586,8 +589,10 @@ func finishTopK(cs *ColumnStats, tk *topK, nonNull int) {
 // (count -> number of distinct values with that count). The seed sums
 // -p*log2(p) over entries sorted (count desc, value asc); equal counts
 // yield identical addends, so walking the count groups in descending
-// order reproduces the identical float sequence. The inner loop re-reads
-// the seed's expression verbatim so no term is pre-rounded differently.
+// order and subtracting each group's addend once per member reproduces
+// the identical float sequence. The addend is computed once per group;
+// its explicit float64 conversion rounds the product before the
+// subtraction, as constancy does, so no platform fuses the two.
 //
 //efes:hot
 func constancyFromMult(mult map[int]int, distinct, nonNull int) float64 {
@@ -602,8 +607,9 @@ func constancyFromMult(mult map[int]int, distinct, nonNull int) float64 {
 	h := 0.0
 	for _, c := range counts {
 		p := float64(c) / float64(nonNull)
-		for k := 0; k < mult[c]; k++ {
-			h -= p * math.Log2(p)
+		a := float64(p * math.Log2(p))
+		for k, n := 0, mult[c]; k < n; k++ {
+			h -= a
 		}
 	}
 	hmax := math.Log2(float64(nonNull))

@@ -870,14 +870,164 @@ func floatToIntSharded(table, column string, vec *relational.ColumnVector, worke
 	return cs, incompatible
 }
 
-// toStringSharded is toString with the sharded string kernel: the
-// rendering dictionary is built sequentially (codes follow first
-// occurrence in row order) and its entries are sharded like a String
-// column's.
+// toStringSharded is toString with sharded kernels. An Integer column
+// runs the decimal kernel straight off the typed vector; the other types
+// render a dictionary sequentially (codes follow first occurrence in row
+// order) whose entries are sharded like a String column's.
 func toStringSharded(table, column string, vec *relational.ColumnVector, workers int) *ColumnStats {
-	dict, codes, counts := relational.RenderDict(vec)
 	cs := newStats(table, column, relational.String, vec.Len(), vec.NullCount())
+	if vec.Type() == relational.Integer {
+		decimalKernelSharded(cs, vec.Ints(), vec.Nulls(), workers)
+		return cs
+	}
+	dict, codes, counts := relational.RenderDict(vec)
 	stringKernelDictSharded(cs, dict, counts, codes, vec.Nulls(), workers)
 	detachTopK(cs)
 	return cs
+}
+
+// decimalTally is one chunk's character tally for the decimal kernel:
+// the occurrences of each digit and of the minus sign over the chunk's
+// non-NULL rows.
+type decimalTally struct {
+	digits [10]int
+	minus  int
+}
+
+// decimalKernelSharded profiles an Integer column as seen through the
+// String type without rendering it. A canonical decimal's statistics
+// follow from the integer itself, so each one matches what the string
+// kernel computes over the rendering dictionary, bit for bit:
+//
+//   - Distinct, Constancy, TopK and TopKCoverage: rendering is injective
+//     on int64, so the typed runs of intKernelSharded carry the same
+//     count multiset, and finishIntRuns already ranks top-k ties by the
+//     lazily rendered FormatInt strings.
+//   - Patterns: a canonical decimal has pattern "9", or "-9" when
+//     negative, so two sign tallies replace the pattern map.
+//   - CharHist: the digits and minus signs of each chunk's distinct
+//     values, weighted by their in-chunk counts — integer sums, order-free.
+//   - StringLength: each row's decimal length (sign plus digits), summed
+//     in row order with the string kernel's two-pass float expressions.
+//
+//efes:hot
+func decimalKernelSharded(cs *ColumnStats, ints []int64, nulls *relational.Bitmap, workers int) {
+	nonNull := cs.Rows - cs.Nulls
+	chunks := chunkCount(len(ints))
+	runs := make([]valueRuns[int64], chunks)
+	tallies := make([]decimalTally, chunks)
+	lens := make([]uint8, len(ints))
+	hasNulls := cs.Nulls > 0
+	shardRun(chunks, workers, func(k int) {
+		lo, hi := chunkSpan(k, len(ints))
+		vals := make([]int64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if hasNulls && nulls.Get(i) {
+				continue
+			}
+			x := ints[i]
+			vals = append(vals, x)
+			lens[i] = decimalLen(x)
+		}
+		runs[k] = intRuns(vals)
+		t := &tallies[k]
+		for j, x := range runs[k].vals {
+			n := int(runs[k].cnts[j])
+			if x < 0 {
+				t.minus += n
+			}
+			for u := decimalMagnitude(x); ; u /= 10 {
+				t.digits[u%10] += n
+				if u < 10 {
+					break
+				}
+			}
+		}
+	})
+	finishIntRuns(cs, runs, nonNull)
+
+	var total decimalTally
+	for k := range tallies {
+		for d, n := range tallies[k].digits {
+			total.digits[d] += n
+		}
+		total.minus += tallies[k].minus
+	}
+	cs.Patterns = decimalPatterns(total.minus, nonNull-total.minus)
+	totalChars := total.minus
+	for _, n := range total.digits {
+		totalChars += n
+	}
+	if totalChars > 0 {
+		cs.CharHist = make(map[rune]float64, len(total.digits)+1)
+		for d, n := range total.digits {
+			if n > 0 {
+				cs.CharHist[rune('0'+d)] = float64(n) / float64(totalChars)
+			}
+		}
+		if total.minus > 0 {
+			cs.CharHist['-'] = float64(total.minus) / float64(totalChars)
+		}
+	}
+	if nonNull > 0 {
+		// Row-order two-pass mean/stddev over the decimal lengths: the
+		// float sequence of stringKernelDict's runeLens loops.
+		sum := 0.0
+		for i, l := range lens {
+			if hasNulls && nulls.Get(i) {
+				continue
+			}
+			sum += float64(l)
+		}
+		mean := sum / float64(nonNull)
+		ss := 0.0
+		for i, l := range lens {
+			if hasNulls && nulls.Get(i) {
+				continue
+			}
+			d := float64(l) - mean
+			ss += d * d
+		}
+		cs.StringLength = Dist{Mean: mean, StdDev: math.Sqrt(ss / float64(nonNull))}
+	}
+}
+
+// decimalPatterns returns the pattern counts of a decimal column with
+// neg negative and nonNeg non-negative rows, ordered as sortedCounts
+// orders them: count descending, then pattern ascending ("-9" < "9").
+func decimalPatterns(neg, nonNeg int) []ValueCount {
+	out := make([]ValueCount, 0, 2)
+	first, second := ValueCount{Value: "-9", Count: neg}, ValueCount{Value: "9", Count: nonNeg}
+	if nonNeg > neg {
+		first, second = second, first
+	}
+	for _, vc := range [2]ValueCount{first, second} {
+		if vc.Count > 0 {
+			out = append(out, vc)
+		}
+	}
+	return out
+}
+
+// decimalMagnitude returns |x|. The negation runs in uint64, where it is
+// exact for math.MinInt64 too; negating in int64 would overflow back to
+// a negative value.
+func decimalMagnitude(x int64) uint64 {
+	if x < 0 {
+		return -uint64(x)
+	}
+	return uint64(x)
+}
+
+// decimalLen returns the length of strconv.FormatInt(x, 10): the digits
+// of |x| plus one for a minus sign.
+func decimalLen(x int64) uint8 {
+	n := uint8(1)
+	if x < 0 {
+		n = 2
+	}
+	for u := decimalMagnitude(x); u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"math"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -69,7 +70,7 @@ func TestShardedMultiChunk(t *testing.T) {
 		case relational.String:
 			dst = relational.Integer // coercedFromStringSharded
 		case relational.Integer:
-			dst = relational.String // toStringSharded: rendering dictionary + sharded string kernel
+			dst = relational.String // toStringSharded: the decimal kernel over the typed vector
 		case relational.Float:
 			dst = relational.Integer // floatToIntSharded
 		case relational.Bool:
@@ -90,16 +91,21 @@ func TestShardedMultiChunk(t *testing.T) {
 }
 
 // TestShardedMultiChunkDictionary drives the dictionary-sharded string
-// kernel across shard boundaries: more than ChunkSize distinct values,
-// so the dict fan-out, the per-shard top-k survivor merge, and the
-// disjoint runeLens writes all span multiple shards.
+// kernel across shard boundaries: an all-distinct Float column viewed as
+// String renders more than ChunkSize dictionary entries, so the dict
+// fan-out, the per-shard top-k survivor merge, and the disjoint runeLens
+// writes all span multiple shards. An all-distinct Integer column of the
+// same size drives the decimal kernel's per-chunk runs and tallies the
+// same way.
 func TestShardedMultiChunkDictionary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-chunk dictionaries are slow to build")
 	}
 	const n = relational.ChunkSize + 1000
 	s := relational.NewSchema("prop")
-	tab, err := relational.NewTable("t", relational.Column{Name: "c", Type: relational.Integer})
+	tab, err := relational.NewTable("t",
+		relational.Column{Name: "i", Type: relational.Integer},
+		relational.Column{Name: "f", Type: relational.Float})
 	if err != nil {
 		t.Fatalf("NewTable: %v", err)
 	}
@@ -108,19 +114,97 @@ func TestShardedMultiChunkDictionary(t *testing.T) {
 	}
 	db := relational.NewDatabase(s)
 	for i := 0; i < n; i++ {
-		db.MustInsert("t", int64(i)) // all distinct: derived dict > ChunkSize entries
+		db.MustInsert("t", int64(i), float64(i)+0.25) // all distinct: > ChunkSize renderings
 	}
-	vec := db.Vector("t", "c")
-	want := FromVector("t", "c", vec)
-	wantS, _ := FromVectorCoerced("t", "c", vec, relational.String)
-	for _, workers := range shardWorkerCounts {
-		w := strconv.Itoa(workers)
-		statsEqual(t, "int/alldistinct/w"+w, want, FromVectorSharded("t", "c", vec, workers))
-		gotS, inc := FromVectorCoercedSharded("t", "c", vec, relational.String, workers)
-		if inc != 0 {
-			t.Errorf("int->string: unexpected incompatible %d", inc)
+	for _, col := range []string{"i", "f"} {
+		vec := db.Vector("t", col)
+		want := FromVector("t", col, vec)
+		wantS, _ := FromVectorCoerced("t", col, vec, relational.String)
+		for _, workers := range shardWorkerCounts {
+			ctx := col + "/alldistinct/w" + strconv.Itoa(workers)
+			statsEqual(t, ctx, want, FromVectorSharded("t", col, vec, workers))
+			gotS, inc := FromVectorCoercedSharded("t", col, vec, relational.String, workers)
+			if inc != 0 {
+				t.Errorf("%s->string: unexpected incompatible %d", ctx, inc)
+			}
+			statsEqual(t, ctx+"->string", wantS, gotS)
 		}
-		statsEqual(t, "int->string/alldistinct/w"+w, wantS, gotS)
+	}
+}
+
+// intColumn builds a one-column Integer instance holding values (nil is
+// NULL).
+func intColumn(t *testing.T, values []relational.Value) *relational.Database {
+	t.Helper()
+	s := relational.NewSchema("decimal")
+	tab, err := relational.NewTable("t", relational.Column{Name: "c", Type: relational.Integer})
+	if err != nil {
+		t.Fatalf("NewTable: %v", err)
+	}
+	if err := s.AddTable(tab); err != nil {
+		t.Fatalf("AddTable: %v", err)
+	}
+	db := relational.NewDatabase(s)
+	for _, v := range values {
+		db.MustInsert("t", v)
+	}
+	return db
+}
+
+// TestDecimalViewEdgeCases pins the decimal kernel (an Integer column's
+// String view, profiled from the typed vector) against both the
+// rendering-dictionary kernel of FromVectorCoerced and the row path, at
+// every worker count, on the columns where a decimal's shape is easy to
+// get wrong: sign-only patterns, a pattern count tie, no values at all,
+// the int64 extremes, and a multi-chunk column whose NULLs straddle the
+// chunk boundary.
+func TestDecimalViewEdgeCases(t *testing.T) {
+	ints := func(xs ...int64) []relational.Value {
+		out := make([]relational.Value, len(xs))
+		for i, x := range xs {
+			out[i] = x
+		}
+		return out
+	}
+	// Random signs and lengths of 1 to 19 digits, mostly distinct, with
+	// scattered NULLs and a NULL run across the first chunk boundary.
+	rng := rand.New(rand.NewSource(15))
+	large := make([]relational.Value, relational.ChunkSize+9000)
+	for i := range large {
+		if rng.Intn(20) == 0 || (i >= relational.ChunkSize-3 && i < relational.ChunkSize+3) {
+			continue
+		}
+		x := rng.Int63() >> rng.Intn(63)
+		if rng.Intn(3) == 0 {
+			x = -x
+		}
+		large[i] = x
+	}
+	cases := []struct {
+		name   string
+		values []relational.Value
+	}{
+		{"all-negative", ints(-1, -42, -42, -1000, -7, -99999)},
+		{"sign-tie", ints(-3, 4, -30, 40, 0, -5)},
+		{"all-null", make([]relational.Value, 5)},
+		{"single-row", ints(-120000)},
+		{"extremes", ints(math.MinInt64, math.MaxInt64, 0, math.MinInt64, 0, math.MinInt64)},
+		{"multi-chunk", large},
+	}
+	for _, tc := range cases {
+		db := intColumn(t, tc.values)
+		vec := db.Vector("t", "c")
+		want, _ := oracleCoerced("t", "c", relational.String, tc.values)
+		single, _ := FromVectorCoerced("t", "c", vec, relational.String)
+		statsEqual(t, tc.name+"/single-pass", want, single)
+		for _, workers := range shardWorkerCounts {
+			got, inc := FromVectorCoercedSharded("t", "c", vec, relational.String, workers)
+			ctx := tc.name + "/w" + strconv.Itoa(workers)
+			if inc != 0 {
+				t.Errorf("%s: unexpected incompatible %d", ctx, inc)
+			}
+			statsEqual(t, ctx, want, got)
+		}
 	}
 }
 

@@ -221,7 +221,10 @@ func constancy(counts []ValueCount, nonNull int) float64 {
 	h := 0.0
 	for _, vc := range counts {
 		p := float64(vc.Count) / float64(nonNull)
-		h -= p * math.Log2(p)
+		// The conversion rounds the addend on its own, so a platform
+		// that fuses multiply-subtract computes what constancyFromMult
+		// does.
+		h -= float64(p * math.Log2(p))
 	}
 	hmax := math.Log2(float64(nonNull))
 	if hmax == 0 {

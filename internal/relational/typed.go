@@ -70,9 +70,13 @@ func FormatTime(t time.Time) string {
 // String column, whose own Dict, Codes and Counts are the encoding.
 //
 // The result is rebuilt on every call and never memoized on the vector:
-// its consumers (the profiler's coercion to String, the CSG interning of
-// a non-String attribute) each need it once, and a memo would pin a
-// rendering of every column for the vector's lifetime.
+// its consumers each need it once, and a memo would pin a rendering of
+// every column for the vector's lifetime. They are the CSG interning of a
+// non-String attribute (whose element IDs follow first occurrence), the
+// sharded profiler's String view of a Float, Bool or Time column, and the
+// single-pass profiler's String view of every type. The sharded String
+// view of an Integer column does not render at all: the profiler derives
+// its statistics from the integers themselves.
 //
 //efes:hot
 func RenderDict(v *ColumnVector) (dict []string, codes []int32, counts []int) {
