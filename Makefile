@@ -33,7 +33,8 @@ efesd-smoke:
 	go test -race -run 'KillRestart|GracefulDrain|EvictionSmoke' ./cmd/efesd/
 
 # Fuzz each target for a bounded time (FUZZTIME per target): the CSV
-# ingest (relational.ReadCSV) against its reference decoder, the CSG
+# ingest (relational.ReadCSV) against its reference decoder, the CSV
+# writer (relational.WriteCSV) against encoding/csv's Writer, the CSG
 # pair-key decoder (csg.SplitPair) against its encoder, and the effort
 # config loader (effort.LoadConfig) against its writer. The committed
 # seed corpora already run in every `go test`. A crasher lands in the
@@ -41,6 +42,7 @@ efesd-smoke:
 FUZZTIME ?= 30s
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/relational/
+	go test -run '^$$' -fuzz '^FuzzWriteCSV$$' -fuzztime $(FUZZTIME) ./internal/relational/
 	go test -run '^$$' -fuzz '^FuzzSplitPair$$' -fuzztime $(FUZZTIME) ./internal/csg/
 	go test -run '^$$' -fuzz '^FuzzLoadConfig$$' -fuzztime $(FUZZTIME) ./internal/effort/
 
@@ -90,7 +92,15 @@ bench:
 # gross regressions only: the rendering path it replaced read 92-200 ms
 # on the same host, so a return to it need not fail the gate. That the
 # kernel's output is the rendered path's, bit for bit, is pinned by
-# TestDecimalViewEdgeCases and TestDurableProfileBytesPinned.
+# TestDecimalViewEdgeCases and TestDurableProfileBytesPinned. The eighth
+# and ninth gate the paper-size ingest and content hash: IngestPaper
+# (ReadCSV of both PaperExampleConfig databases, column-parallel) ran
+# 104-135 ms and ContentHashPaper (a cold ContentHash of all six tables)
+# 60-75 ms on a 2-CPU Xeon, and 650 ms and 300 ms apply the same ~5x
+# headroom. A ~5x gate catches gross regressions only: the single
+# appender ingest (169-187 ms) and the encoding/csv based hash
+# (118-150 ms) it replaced both pass it. That the hash bytes did not move
+# is pinned exactly by TestPaperContentHashesPinned.
 bench-smoke:
 	go test -short -run '^$$' -bench . -benchtime 1x .
 	go run ./cmd/benchjson -bench '^BenchmarkFullEstimateLarge$$' -benchtime 3x \
@@ -105,3 +115,7 @@ bench-smoke:
 		-out '' -assert BenchmarkTable3StructureConflicts=1.5ms
 	go run ./cmd/benchjson -bench '^BenchmarkProfileIntAsStringPaper$$' -benchtime 3x \
 		-out '' -assert BenchmarkProfileIntAsStringPaper=125ms
+	go run ./cmd/benchjson -bench '^BenchmarkIngestPaper$$' -benchtime 3x \
+		-out '' -assert BenchmarkIngestPaper=650ms
+	go run ./cmd/benchjson -bench '^BenchmarkContentHashPaper$$' -benchtime 3x \
+		-out '' -assert BenchmarkContentHashPaper=300ms

@@ -501,8 +501,14 @@ func BenchmarkProfileDatabaseLargeSharded(b *testing.B) {
 // returns its songs.length vector: 274,523 integer milliseconds with
 // 260,923 distinct values (Table 6).
 var paperSongLengths = sync.OnceValue(func() *relational.ColumnVector {
-	db := scenario.MusicExample(scenario.PaperExampleConfig()).Sources[0].DB
-	return db.Vector("songs", "length")
+	return paperExample().Sources[0].DB.Vector("songs", "length")
+})
+
+// paperExample lazily builds the PaperExampleConfig scenario: the
+// running example at published size, six tables of which the source's
+// songs (274,523 rows) dominates.
+var paperExample = sync.OnceValue(func() *core.Scenario {
+	return scenario.MusicExample(scenario.PaperExampleConfig())
 })
 
 // BenchmarkProfileIntAsStringPaper profiles the paper-size songs.length
@@ -555,6 +561,20 @@ func BenchmarkStructureLarge(b *testing.B) {
 // column vectors. Throughput is reported as MB/s.
 func BenchmarkIngestLarge(b *testing.B) {
 	scn := largeExample()
+	benchIngest(b, scn.Target, scn.Sources[0].DB)
+}
+
+// BenchmarkIngestPaper is BenchmarkIngestLarge at published size: both
+// databases of the PaperExampleConfig running example, about 10 MB of
+// CSV, the ingest a cold paper-scale estimate pays.
+func BenchmarkIngestPaper(b *testing.B) {
+	scn := paperExample()
+	benchIngest(b, scn.Target, scn.Sources[0].DB)
+}
+
+// benchIngest renders every table of dbs with WriteCSV and times ReadCSV
+// of all of them into fresh databases.
+func benchIngest(b *testing.B, dbs ...*relational.Database) {
 	type table struct {
 		db   *relational.Database
 		name string
@@ -562,7 +582,7 @@ func BenchmarkIngestLarge(b *testing.B) {
 	}
 	var tables []table
 	total := 0
-	for _, db := range []*relational.Database{scn.Target, scn.Sources[0].DB} {
+	for _, db := range dbs {
 		for _, t := range db.Schema.Tables() {
 			var buf bytes.Buffer
 			if err := db.WriteCSV(t.Name, &buf); err != nil {
@@ -584,6 +604,31 @@ func BenchmarkIngestLarge(b *testing.B) {
 			}
 			if err := db.ReadCSV(t.name, bytes.NewReader(t.csv)); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkContentHashPaper computes the content hash of all six tables
+// of the PaperExampleConfig running example cold, as efesd does on every
+// upload: one WriteCSV pass per table into SHA-256. Each iteration hashes
+// fresh copies of the databases, cloned outside the timer.
+func BenchmarkContentHashPaper(b *testing.B) {
+	scn := paperExample()
+	dbs := []*relational.Database{scn.Target, scn.Sources[0].DB}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := make([]*relational.Database, len(dbs))
+		for k, db := range dbs {
+			fresh[k] = db.Clone()
+		}
+		b.StartTimer()
+		for _, db := range fresh {
+			for _, t := range db.Schema.Tables() {
+				if _, err := db.ContentHash(t.Name); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	}

@@ -1,11 +1,12 @@
 package core
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
+
+	"efes/internal/relational"
 )
 
 // The export DTOs give downstream tooling (dashboards, project planning,
@@ -127,32 +128,23 @@ func (r *Result) JSON() ([]byte, error) {
 // module. The row order (tasks in estimate order, failures in module
 // registration order) and every field are deterministic.
 func (r *Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "scenario", "category", "type", "subject", "repetitions", "minutes", "detail"}); err != nil {
-		return err
-	}
+	buf := relational.AppendCSVRecord(nil, []string{"kind", "scenario", "category", "type", "subject", "repetitions", "minutes", "detail"})
 	mins := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
 	for _, te := range r.Estimate.Tasks {
-		err := cw.Write([]string{
+		buf = relational.AppendCSVRecord(buf, []string{
 			"task", r.Scenario, string(te.Task.Category), string(te.Task.Type),
 			te.Task.Subject, strconv.Itoa(te.Task.Repetitions), mins(te.Minutes), "",
 		})
-		if err != nil {
-			return err
-		}
 	}
 	for _, mf := range r.Failures {
 		detail := fmt.Sprintf("%s failed after %d attempt(s)", mf.Stage, mf.Attempts)
 		if mf.Err != nil {
 			detail += ": " + mf.Err.Error()
 		}
-		err := cw.Write([]string{
+		buf = relational.AppendCSVRecord(buf, []string{
 			"failure", r.Scenario, "", mf.Module, "", "0", mins(mf.FallbackMinutes), detail,
 		})
-		if err != nil {
-			return err
-		}
 	}
-	cw.Flush()
-	return cw.Error()
+	_, err := w.Write(buf)
+	return err
 }

@@ -62,6 +62,24 @@ type uploadResponse struct {
 	Correspondences int `json:"correspondences"`
 }
 
+// decodeBody decodes the JSON request body into v, reading at most
+// Config.MaxBody bytes of it. On failure it writes the error response,
+// 413 for a body over the cap and 400 for any other decode error, and
+// returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	}
+	return false
+}
+
 // loadDB materializes an uploaded database. Tables load in sorted name
 // order — the map iteration order must not leak anywhere.
 func loadDB(spec dbSpec) (*relational.Database, error) {
@@ -85,8 +103,7 @@ func loadDB(spec dbSpec) (*relational.Database, error) {
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	var req uploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" {
@@ -214,8 +231,7 @@ func (s *Server) requestPolicy(req estimateRequest) core.Resilience {
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	q, err := parseQuality(req.Quality)
@@ -355,8 +371,7 @@ func resolveDB(e *scenarioEntry, name string) (*relational.Database, bool) {
 
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req profileRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	entry, ok := s.lookup(r, req.Scenario)
@@ -401,8 +416,7 @@ type matchRequest struct {
 
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	var req matchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	entry, ok := s.lookup(r, req.Scenario)

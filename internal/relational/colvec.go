@@ -456,6 +456,27 @@ func (v *ColumnVector) appendField(s string) error {
 	return nil
 }
 
+// reserve makes room for n rows in the typed storage of a vector
+// ReadCSV is building, so that appending up to n rows does not copy
+// them; it does nothing when n does not exceed the rows already held.
+func (v *ColumnVector) reserve(n int) {
+	if n <= v.length {
+		return
+	}
+	switch v.typ {
+	case String:
+		v.codes = slices.Grow(v.codes, n-len(v.codes))
+	case Integer:
+		v.ints = slices.Grow(v.ints, n-len(v.ints))
+	case Float:
+		v.floats = slices.Grow(v.floats, n-len(v.floats))
+	case Bool:
+		v.bools = slices.Grow(v.bools, n-len(v.bools))
+	case Time:
+		v.times = slices.Grow(v.times, n-len(v.times))
+	}
+}
+
 // appendZero appends the zero slot that keeps typed storage positionally
 // aligned with the row index for a NULL cell.
 func (v *ColumnVector) appendZero() {
@@ -514,27 +535,6 @@ func (v *ColumnVector) clone() *ColumnVector {
 		chunkStamps: slices.Clone(v.chunkStamps),
 		stampEpoch:  v.stampEpoch,
 	}
-}
-
-// format renders the cell of row i exactly as FormatValue(v.Value(i))
-// does, without boxing it.
-func (v *ColumnVector) format(i int) string {
-	if v.nulls.Get(i) {
-		return ""
-	}
-	switch v.typ {
-	case String:
-		return v.dict[v.codes[i]]
-	case Integer:
-		return strconv.FormatInt(v.ints[i], 10)
-	case Float:
-		return FormatFloat(v.floats[i])
-	case Bool:
-		return strconv.FormatBool(v.bools[i])
-	case Time:
-		return FormatTime(v.times[i])
-	}
-	return ""
 }
 
 // fill stores the cells of rows [from, from+n) as row-API Values into

@@ -6,48 +6,255 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
+	"unicode"
+	"unicode/utf8"
 )
+
+// csvFlushBytes is the size at which WriteCSV hands its rendered bytes to
+// the underlying writer.
+const csvFlushBytes = 64 << 10
 
 // WriteCSV encodes one table as CSV: a header line with the column names
 // followed by one line per row. NULL is encoded as the empty field. The
-// cells are rendered straight from the column vectors, exactly as
-// FormatValue renders them; the row view is not built.
+// bytes are exactly those of encoding/csv's Writer with its defaults
+// (comma separator, "\n" line ends, minimal quoting). The cells are
+// rendered straight from the column vectors, exactly as FormatValue
+// renders them, into one reused buffer: integers, floats, booleans and
+// times are appended in place, and each String dictionary entry is
+// quoted once, not once per row. The row view is not built.
 func (db *Database) WriteCSV(table string, w io.Writer) error {
 	t := db.Schema.Table(table)
 	if t == nil {
 		return fmt.Errorf("relational: unknown table %s", table)
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(t.ColumnNames()); err != nil {
-		return err
-	}
 	td := db.table(t)
-	record := make([]string, len(t.Columns))
+	buf := AppendCSVRecord(make([]byte, 0, csvFlushBytes+4096), t.ColumnNames())
+	dicts := make([][]string, len(td.vecs))
+	for c, vec := range td.vecs {
+		if vec.typ == String {
+			dicts[c] = csvDict(vec.dict)
+		}
+	}
+	// A destination that grows by doubling (a bytes.Buffer, a
+	// strings.Builder) is sized once, so it neither copies the output
+	// nor holds two generations of it while growing.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(len(buf) + csvBodyLen(td, dicts))
+	}
 	for i := 0; i < td.n; i++ {
 		for c, vec := range td.vecs {
-			record[c] = vec.format(i)
+			if c > 0 {
+				buf = append(buf, ',')
+			}
+			buf = vec.appendCSV(buf, i, dicts[c])
 		}
-		if err := cw.Write(record); err != nil {
-			return err
+		buf = append(buf, '\n')
+		if len(buf) >= csvFlushBytes {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
+}
+
+// csvBodyLen returns the bytes WriteCSV writes for the rows of td: one
+// separator or line end per cell (a line end per row without columns)
+// plus each field's rendering.
+func csvBodyLen(td *tableData, dicts [][]string) int {
+	n := td.n * max(len(td.vecs), 1)
+	var scratch [64]byte // holds any non-string rendering
+	for c, vec := range td.vecs {
+		for i := 0; i < td.n; i++ {
+			switch {
+			case vec.nulls.Get(i):
+			case vec.typ == String:
+				n += len(dicts[c][vec.codes[i]])
+			default:
+				n += len(vec.appendCSV(scratch[:0], i, nil))
+			}
+		}
+	}
+	return n
+}
+
+// AppendCSVRecord appends one CSV record, its fields quoted as
+// encoding/csv's Writer quotes them and a "\n" line end, to dst.
+func AppendCSVRecord(dst []byte, fields []string) []byte {
+	for c, f := range fields {
+		if c > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendCSVField(dst, f)
+	}
+	return append(dst, '\n')
+}
+
+// csvNeedsQuotes reports whether encoding/csv's Writer quotes a field:
+// never the empty field, always `\.` (a Postgres end-of-data marker), and
+// otherwise a field holding a comma, a quote, "\r" or "\n", or starting
+// with a space in the sense of unicode.IsSpace.
+func csvNeedsQuotes(s string) bool {
+	if s == "" {
+		return false
+	}
+	if s == `\.` {
+		return true
+	}
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	r, _ := utf8.DecodeRuneInString(s)
+	return unicode.IsSpace(r)
+}
+
+// appendCSVField appends one field as encoding/csv's Writer writes it: in
+// quotes where csvNeedsQuotes says so, with each quote doubled and "\r"
+// and "\n" kept verbatim.
+func appendCSVField(dst []byte, s string) []byte {
+	if !csvNeedsQuotes(s) {
+		return append(dst, s...)
+	}
+	dst = append(dst, '"')
+	for {
+		i := strings.IndexByte(s, '"')
+		if i < 0 {
+			break
+		}
+		dst = append(dst, s[:i+1]...)
+		dst = append(dst, '"')
+		s = s[i+1:]
+	}
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// csvDict renders each entry of a String column's dictionary as its CSV
+// field. An entry that needs no quoting is its own rendering, so the
+// dictionary itself is returned when none does.
+func csvDict(dict []string) []string {
+	var out []string
+	for c, s := range dict {
+		if !csvNeedsQuotes(s) {
+			continue
+		}
+		if out == nil {
+			out = make([]string, len(dict))
+			copy(out, dict)
+		}
+		out[c] = string(appendCSVField(nil, s))
+	}
+	if out == nil {
+		return dict
+	}
+	return out
+}
+
+// appendCSV appends the CSV field of row i, rendered exactly as
+// FormatValue(v.Value(i)) and quoted as appendCSVField quotes it; dict is
+// csvDict of a String column's dictionary. The other types never need
+// quoting: integers, floats and booleans render to digits, signs, '.',
+// 'e', "NaN", "Inf", "true" or "false", and RFC 3339 times to digits,
+// '-', ':', 'T', 'Z' and '+'.
+func (v *ColumnVector) appendCSV(dst []byte, i int, dict []string) []byte {
+	if v.nulls.Get(i) {
+		return dst
+	}
+	switch v.typ {
+	case String:
+		return append(dst, dict[v.codes[i]]...)
+	case Integer:
+		return strconv.AppendInt(dst, v.ints[i], 10)
+	case Float:
+		return strconv.AppendFloat(dst, v.floats[i], 'g', -1, 64)
+	case Bool:
+		return strconv.AppendBool(dst, v.bools[i])
+	case Time:
+		return v.times[i].AppendFormat(dst, time.RFC3339)
+	}
+	return dst
 }
 
 // csvBatchRecords is the number of records the CSV reader hands to the
-// column appender at a time: large enough that the hand-off costs
-// nothing against the parsing, small enough that a batch stays in cache.
+// appenders at a time: large enough that the hand-off costs nothing
+// against the parsing, small enough that a batch stays in cache.
 const csvBatchRecords = 1024
 
+// csvAppendersPerProc bounds ReadCSV's appender goroutines per GOMAXPROCS.
+// One appender per column lets the scheduler balance a table whose
+// columns cost unevenly (a large string dictionary next to a few
+// integers) better than one appender per processor does; the bound keeps
+// a wide schema, which efesd accepts from its clients, from setting the
+// goroutine count.
+const csvAppendersPerProc = 4
+
+// newCSVAppenders returns the appenders ReadCSV runs, one goroutine
+// each, for a table of width columns: one per column, at most
+// csvAppendersPerProc per GOMAXPROCS, and at least one. Past the bound
+// the columns are dealt out round-robin.
+func newCSVAppenders(width int) []*csvAppender {
+	apps := make([]*csvAppender, max(1, min(width, csvAppendersPerProc*runtime.GOMAXPROCS(0))))
+	// Each appender's inbox holds one batch, so the reader can run a
+	// batch ahead of the slowest appender and the others rarely wait.
+	for a := range apps {
+		apps[a] = &csvAppender{in: make(chan *csvBatch, 1)}
+	}
+	for c := 0; c < width; c++ {
+		app := apps[c%len(apps)]
+		app.cols = append(app.cols, c)
+	}
+	return apps
+}
+
 // csvBatch is a run of decoded CSV records on their way from the reader
-// to the appender. fields holds the records row-major; lines holds the
-// 1-based input line of each field, for error messages.
+// to the appenders. fields holds the records row-major; lines holds the
+// 1-based input line of each field, for error messages. seq numbers the
+// batches of one load in input order, and pending counts the appenders
+// that have yet to release the batch. hint, set on the first batch only,
+// estimates the records of the whole load (0 when unknown).
 type csvBatch struct {
-	fields []string
-	lines  []int
+	fields  []string
+	lines   []int
+	seq     int
+	hint    int
+	pending atomic.Int32
+}
+
+// csvAppender is one appender stage of ReadCSV: it owns the staged
+// vectors of the columns in cols (ascending) and receives every batch on
+// in. err is the first of its fields, in input order, that did not
+// parse, at record rec of batch seq in column col; after it the appender
+// only releases the batches it receives.
+type csvAppender struct {
+	cols          []int
+	in            chan *csvBatch
+	err           error
+	seq, rec, col int
+}
+
+// before reports whether a's error comes before b's in input order.
+func (a *csvAppender) before(b *csvAppender) bool {
+	if a.seq != b.seq {
+		return a.seq < b.seq
+	}
+	if a.rec != b.rec {
+		return a.rec < b.rec
+	}
+	return a.col < b.col
 }
 
 // ReadCSV decodes rows for an existing table from CSV produced by
@@ -55,23 +262,39 @@ type csvBatch struct {
 // NULL and the remaining fields are parsed according to the column types.
 // The load is atomic: rows are staged and committed only when the whole
 // input parses, so a malformed line mid-file leaves the table untouched.
-// Parse errors name the 1-based input line and the column.
+// Parse errors name the 1-based input line and the column of the first
+// malformed field in input order.
 //
-// Decoding runs as a two-stage pipeline: the calling goroutine runs the
-// CSV reader and hands batches of records to one appender goroutine,
-// which parses each field into fresh column vectors; the appender is
-// joined before ReadCSV returns, on success and on error alike.
+// Decoding runs column-parallel: the calling goroutine runs the CSV
+// reader and hands every batch of records to each appender goroutine
+// (see newCSVAppenders). Each appender owns a disjoint set of columns and
+// parses their fields into fresh column vectors; a batch returns to the
+// reader's free list once the last appender has released it. The
+// appenders are joined before ReadCSV returns, on success and on error
+// alike.
 func (db *Database) ReadCSV(table string, r io.Reader) error {
 	t := db.Schema.Table(table)
 	if t == nil {
 		return fmt.Errorf("relational: unknown table %s", table)
 	}
+	width := len(t.Columns)
+	// The input's length, where r knows it (a strings or bytes Reader, a
+	// bytes.Buffer), taken before the CSV reader buffers any of it.
+	size := int64(-1)
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = int64(l.Len())
+	}
 	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(t.Columns)
+	cr.FieldsPerRecord = width
 	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return fmt.Errorf("relational: read csv for %s: %w", table, err)
+	}
+	// The reader enforces the width on every record but a table without
+	// columns, for which FieldsPerRecord 0 means "whatever the header has".
+	if len(header) != width {
+		return fmt.Errorf("relational: csv header mismatch for %s: got %d columns, want %d", table, len(header), width)
 	}
 	for i, name := range header {
 		if name != t.Columns[i].Name {
@@ -79,41 +302,50 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 		}
 	}
 
-	staged := make([]*ColumnVector, len(t.Columns))
+	staged := make([]*ColumnVector, width)
 	for i, c := range t.Columns {
 		staged[i] = newColumnVector(c.Type)
 	}
-	rows := 0
-	full := make(chan *csvBatch)
-	// free recycles processed batches to the reader; the reader never
+	apps := newCSVAppenders(width)
+	// free recycles released batches to the reader; the reader never
 	// waits on it, so at most three batches ever exist.
 	free := make(chan *csvBatch, 2)
 	failed := make(chan struct{})
-	var parseErr error
+	var failOnce sync.Once
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for b := range full {
-			if parseErr == nil {
-				var n int
-				n, parseErr = appendBatch(t, staged, b)
-				rows += n
-				if parseErr != nil {
-					close(failed)
+	for _, app := range apps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range app.in {
+				for _, c := range app.cols {
+					staged[c].reserve(b.hint)
+				}
+				if app.err == nil && !app.appendBatch(t, staged, b) {
+					failOnce.Do(func() { close(failed) })
+				}
+				if b.pending.Add(-1) == 0 {
+					select {
+					case free <- b:
+					default:
+					}
 				}
 			}
-			select {
-			case free <- b:
-			default:
-			}
-		}
-	}()
-	readErr := feedCSV(cr, len(t.Columns), full, free, failed)
-	close(full)
+		}()
+	}
+	rows, readErr := feedCSV(cr, width, size, apps, free, failed)
+	for _, app := range apps {
+		close(app.in)
+	}
 	wg.Wait()
-	if parseErr != nil {
-		return fmt.Errorf("relational: csv for %s: %w", table, parseErr)
+	var first *csvAppender
+	for _, app := range apps {
+		if app.err != nil && (first == nil || app.before(first)) {
+			first = app
+		}
+	}
+	if first != nil {
+		return fmt.Errorf("relational: csv for %s: %w", table, first.err)
 	}
 	if readErr != nil {
 		return fmt.Errorf("relational: read csv for %s: %w", table, readErr)
@@ -136,11 +368,25 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 }
 
 // feedCSV is the reader stage of ReadCSV: it decodes records into batches
-// and sends them on full until the input ends, the reader fails, or the
-// appender reports a parse error by closing failed. It returns the
-// reader's error, io.EOF excepted.
-func feedCSV(cr *csv.Reader, width int, full chan<- *csvBatch, free <-chan *csvBatch, failed <-chan struct{}) error {
-	for {
+// and hands each batch to every appender, until the input ends, the
+// reader fails, or an appender reports a parse error by closing failed.
+// It looks at failed only between batches, so every appender sees every
+// batch any appender has seen, and none can miss a field that precedes
+// the first reported error. When size, the input's length in bytes, is
+// known and the first batch is full, the batch carries an estimate of
+// the load's records, extrapolated from the bytes the batch took, so the
+// appenders size their vectors once instead of growing them by copying.
+// It returns the number of records handed out and the reader's error,
+// io.EOF excepted.
+func feedCSV(cr *csv.Reader, width int, size int64, apps []*csvAppender, free chan *csvBatch, failed <-chan struct{}) (int, error) {
+	start := cr.InputOffset()
+	rows := 0
+	for seq := 0; ; seq++ {
+		select {
+		case <-failed:
+			return rows, nil
+		default:
+		}
 		var b *csvBatch
 		select {
 		case b = <-free:
@@ -151,6 +397,7 @@ func feedCSV(cr *csv.Reader, width int, full chan<- *csvBatch, free <-chan *csvB
 				lines:  make([]int, 0, csvBatchRecords*width),
 			}
 		}
+		b.seq, b.hint = seq, 0
 		var err error
 		for len(b.fields) < csvBatchRecords*width {
 			var record []string
@@ -163,36 +410,42 @@ func feedCSV(cr *csv.Reader, width int, full chan<- *csvBatch, free <-chan *csvB
 				b.lines = append(b.lines, line)
 			}
 		}
-		if len(b.fields) > 0 {
-			select {
-			case full <- b:
-			case <-failed:
-				return nil
+		if seq == 0 && err == nil && size > 0 {
+			if used := cr.InputOffset() - start; used > 0 {
+				b.hint = int(int64(csvBatchRecords) * (size - start) / used)
 			}
 		}
+		if len(b.fields) > 0 {
+			b.pending.Store(int32(len(apps)))
+			for _, app := range apps {
+				app.in <- b
+			}
+			rows += len(b.fields) / width
+		}
 		if err == io.EOF {
-			return nil
+			return rows, nil
 		}
 		if err != nil {
-			return err
+			return rows, err
 		}
 	}
 }
 
-// appendBatch is the appender stage of ReadCSV: it parses the fields of
-// one batch into the staged vectors and returns the number of records
-// appended. The first field, in input order, that does not parse stops
-// the load with an error naming its input line and column.
-func appendBatch(t *Table, staged []*ColumnVector, b *csvBatch) (int, error) {
+// appendBatch parses the appender's fields of one batch into the staged
+// vectors, record by record, and reports whether they all parsed. The
+// first field that does not parse becomes the appender's error.
+func (app *csvAppender) appendBatch(t *Table, staged []*ColumnVector, b *csvBatch) bool {
 	width := len(staged)
 	for k := 0; k < len(b.fields); k += width {
-		for c, vec := range staged {
-			if err := vec.appendField(b.fields[k+c]); err != nil {
-				return 0, fmt.Errorf("line %d, column %s: %w", b.lines[k+c], t.Columns[c].Name, err)
+		for _, c := range app.cols {
+			if err := staged[c].appendField(b.fields[k+c]); err != nil {
+				app.err = fmt.Errorf("line %d, column %s: %w", b.lines[k+c], t.Columns[c].Name, err)
+				app.seq, app.rec, app.col = b.seq, k/width, c
+				return false
 			}
 		}
 	}
-	return len(b.fields) / width, nil
+	return true
 }
 
 // SaveDir writes the whole database to a directory: schema.txt describing

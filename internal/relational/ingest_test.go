@@ -71,7 +71,7 @@ func randomIngestRow(rng *rand.Rand) []relational.Value {
 // sameValue compares two row-API values by type and rendering, so NaNs
 // compare equal and -0 differs from 0.
 func sameValue(a, b relational.Value) bool {
-	return fmt.Sprintf("%T", a) == fmt.Sprintf("%T", b) && relational.FormatValue(a) == relational.FormatValue(b)
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && relational.FormatValue(a) == relational.FormatValue(b)
 }
 
 // sameVectors compares the storage of two columns: dictionary order,
@@ -256,11 +256,26 @@ func TestReadCSVMidFileErrorLeavesTableUntouched(t *testing.T) {
 			t.Errorf("error %q lacks %q", err, want)
 		}
 	}
-	if n := runtime.NumGoroutine(); n != goroutines {
-		t.Errorf("goroutines: %d before ReadCSV, %d after", goroutines, n)
+	if n := settledGoroutines(goroutines); n != goroutines {
+		t.Errorf("goroutines: %d before ReadCSV, still %d after 5s", goroutines, n)
 	}
 	if db.NumRows("t") != 1 || db.Vector("t", "s") != vec || vec.Len() != 1 || hashOf(t, db) != hash {
 		t.Errorf("failed load changed the table: rows %d, vector len %d", db.NumRows("t"), vec.Len())
+	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it is back at want,
+// for up to five seconds, and returns the last count. A goroutine that
+// has been joined may still be on its way out when its joiner returns,
+// so one sample can read one too many.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n == want || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
