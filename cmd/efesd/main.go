@@ -5,7 +5,7 @@
 //	efesd -addr :8080 -cache-dir /var/lib/efesd \
 //	      [-workers N] [-max-inflight N] [-request-timeout 30s] \
 //	      [-module-timeout 10s] [-retries 1] [-backoff 50ms] [-fail-fast] \
-//	      [-max-scenarios N] [-scenario-ttl 1h] [-max-body BYTES] \
+//	      [-max-scenarios N] [-scenario-ttl 1h] \
 //	      [-skill 1.0] [-criticality 1.0] [-config FILE] \
 //	      [-profile-mode exact|approx]
 //
@@ -52,7 +52,6 @@ func main() {
 	backoff := flag.Duration("backoff", 0, "wait before the first retry (doubling)")
 	failFast := flag.Bool("fail-fast", false, "fail requests on module failure instead of degrading to the baseline")
 	maxScenarios := flag.Int("max-scenarios", 0, "resident uploaded scenarios per server; beyond it the least recently used is evicted (0 = default, negative = unbounded)")
-	maxBody := flag.Int64("max-body", efesd.DefaultMaxBody, "largest accepted request body in bytes; larger bodies get 413")
 	scenarioTTL := flag.Duration("scenario-ttl", 0, "evict scenarios idle longer than this on next access (0 = never)")
 	skill := flag.Float64("skill", 1, "practitioner skill factor (>1 slower)")
 	criticality := flag.Float64("criticality", 1, "error criticality factor (>1 more careful)")
@@ -71,7 +70,6 @@ func main() {
 		Workers:        *workers,
 		ProfileMode:    profileMode,
 		MaxInFlight:    *maxInFlight,
-		MaxBody:        *maxBody,
 		RequestTimeout: *requestTimeout,
 		MaxScenarios:   *maxScenarios,
 		ScenarioTTL:    *scenarioTTL,
@@ -129,7 +127,7 @@ func main() {
 	// The header timeout bounds a client that opens a connection and
 	// trickles its headers; the idle timeout closes kept-alive
 	// connections nobody reuses. Neither bounds a request body, whose
-	// size -max-body caps.
+	// size the handlers cap at 64 MiB (413 past it).
 	httpSrv := &http.Server{
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,

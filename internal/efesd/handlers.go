@@ -62,12 +62,22 @@ type uploadResponse struct {
 	Correspondences int `json:"correspondences"`
 }
 
+// maxBody bounds a request body in bytes: well above a paper-scale
+// upload (the running example's ~10 MB of CSV, JSON encoded), small
+// enough that one client cannot make the daemon buffer an unbounded body.
+const maxBody = 64 << 20
+
 // decodeBody decodes the JSON request body into v, reading at most
-// Config.MaxBody bytes of it. On failure it writes the error response,
-// 413 for a body over the cap and 400 for any other decode error, and
-// returns false.
+// maxBody bytes of it; a body declared longer is refused unread. On
+// failure it writes the error response, 413 for a body over the cap and
+// 400 for any other decode error, and returns false.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)).Decode(v)
+	var err error
+	if r.ContentLength > maxBody {
+		err = &http.MaxBytesError{Limit: maxBody}
+	} else {
+		err = json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	}
 	var tooLarge *http.MaxBytesError
 	switch {
 	case err == nil:

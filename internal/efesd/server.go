@@ -41,12 +41,6 @@ import (
 // Config.MaxInFlight is zero.
 const DefaultMaxInFlight = 32
 
-// DefaultMaxBody bounds a request body when Config.MaxBody is zero: well
-// above a paper-scale upload (the running example's ~10 MB of CSV, JSON
-// encoded), small enough that one client cannot make the daemon buffer
-// an unbounded body.
-const DefaultMaxBody = 64 << 20
-
 // Config configures a Server. The zero value is usable: default effort
 // configuration, one detector worker, a best-effort resilience policy,
 // no durable cache.
@@ -64,9 +58,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; excess
 	// requests are shed with 429. 0 selects DefaultMaxInFlight.
 	MaxInFlight int
-	// MaxBody bounds a request body in bytes; a larger body is refused
-	// with 413. 0 or less selects DefaultMaxBody.
-	MaxBody int64
 	// RequestTimeout is the default overall deadline for estimate
 	// requests that do not set timeoutMs; 0 means no default deadline.
 	RequestTimeout time.Duration
@@ -165,9 +156,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = DefaultMaxInFlight
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = DefaultMaxBody
 	}
 	if len(cfg.Effort.Functions) == 0 {
 		cfg.Effort = effort.DefaultConfig()

@@ -477,6 +477,24 @@ func (v *ColumnVector) reserve(n int) {
 	}
 }
 
+// clip replaces the typed storage of a vector ReadCSV built with a copy
+// of its length, giving back the room reserve set aside for rows that
+// never came.
+func (v *ColumnVector) clip() {
+	switch v.typ {
+	case String:
+		v.codes = slices.Clone(v.codes)
+	case Integer:
+		v.ints = slices.Clone(v.ints)
+	case Float:
+		v.floats = slices.Clone(v.floats)
+	case Bool:
+		v.bools = slices.Clone(v.bools)
+	case Time:
+		v.times = slices.Clone(v.times)
+	}
+}
+
 // appendZero appends the zero slot that keeps typed storage positionally
 // aligned with the row index for a NULL cell.
 func (v *ColumnVector) appendZero() {

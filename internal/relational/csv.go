@@ -41,12 +41,6 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 			dicts[c] = csvDict(vec.dict)
 		}
 	}
-	// A destination that grows by doubling (a bytes.Buffer, a
-	// strings.Builder) is sized once, so it neither copies the output
-	// nor holds two generations of it while growing.
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(len(buf) + csvBodyLen(td, dicts))
-	}
 	for i := 0; i < td.n; i++ {
 		for c, vec := range td.vecs {
 			if c > 0 {
@@ -67,26 +61,6 @@ func (db *Database) WriteCSV(table string, w io.Writer) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// csvBodyLen returns the bytes WriteCSV writes for the rows of td: one
-// separator or line end per cell (a line end per row without columns)
-// plus each field's rendering.
-func csvBodyLen(td *tableData, dicts [][]string) int {
-	n := td.n * max(len(td.vecs), 1)
-	var scratch [64]byte // holds any non-string rendering
-	for c, vec := range td.vecs {
-		for i := 0; i < td.n; i++ {
-			switch {
-			case vec.nulls.Get(i):
-			case vec.typ == String:
-				n += len(dicts[c][vec.codes[i]])
-			default:
-				n += len(vec.appendCSV(scratch[:0], i, nil))
-			}
-		}
-	}
-	return n
 }
 
 // AppendCSVRecord appends one CSV record, its fields quoted as
@@ -333,7 +307,7 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 			}
 		}()
 	}
-	rows, readErr := feedCSV(cr, width, size, apps, free, failed)
+	rows, hint, readErr := feedCSV(cr, width, size, apps, free, failed)
 	for _, app := range apps {
 		close(app.in)
 	}
@@ -349,6 +323,16 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 	}
 	if readErr != nil {
 		return fmt.Errorf("relational: read csv for %s: %w", table, readErr)
+	}
+
+	// The estimate rests on the first batch alone, so records longer than
+	// that batch's make it overshoot. The staged vectors join the table as
+	// they are, so room reserved for records that never came is given
+	// back here rather than held for the table's lifetime.
+	if hint > rows+rows/8 {
+		for _, vec := range staged {
+			vec.clip()
+		}
 	}
 
 	td := db.mutable(t)
@@ -376,15 +360,18 @@ func (db *Database) ReadCSV(table string, r io.Reader) error {
 // known and the first batch is full, the batch carries an estimate of
 // the load's records, extrapolated from the bytes the batch took, so the
 // appenders size their vectors once instead of growing them by copying.
-// It returns the number of records handed out and the reader's error,
-// io.EOF excepted.
-func feedCSV(cr *csv.Reader, width int, size int64, apps []*csvAppender, free chan *csvBatch, failed <-chan struct{}) (int, error) {
+// Every record takes at least width bytes (its separators and line end),
+// so the estimate never exceeds the records the input could hold, and
+// the reservation never exceeds what loading the longest such input
+// would allocate anyway. It returns the number of records handed out,
+// the estimate (0 when none was made) and the reader's error, io.EOF
+// excepted.
+func feedCSV(cr *csv.Reader, width int, size int64, apps []*csvAppender, free chan *csvBatch, failed <-chan struct{}) (rows, hint int, err error) {
 	start := cr.InputOffset()
-	rows := 0
 	for seq := 0; ; seq++ {
 		select {
 		case <-failed:
-			return rows, nil
+			return rows, hint, nil
 		default:
 		}
 		var b *csvBatch
@@ -398,7 +385,6 @@ func feedCSV(cr *csv.Reader, width int, size int64, apps []*csvAppender, free ch
 			}
 		}
 		b.seq, b.hint = seq, 0
-		var err error
 		for len(b.fields) < csvBatchRecords*width {
 			var record []string
 			if record, err = cr.Read(); err != nil {
@@ -412,7 +398,8 @@ func feedCSV(cr *csv.Reader, width int, size int64, apps []*csvAppender, free ch
 		}
 		if seq == 0 && err == nil && size > 0 {
 			if used := cr.InputOffset() - start; used > 0 {
-				b.hint = int(int64(csvBatchRecords) * (size - start) / used)
+				hint = int(int64(csvBatchRecords) * (size - start) / used)
+				b.hint = hint
 			}
 		}
 		if len(b.fields) > 0 {
@@ -423,10 +410,10 @@ func feedCSV(cr *csv.Reader, width int, size int64, apps []*csvAppender, free ch
 			rows += len(b.fields) / width
 		}
 		if err == io.EOF {
-			return rows, nil
+			return rows, hint, nil
 		}
 		if err != nil {
-			return rows, err
+			return rows, hint, err
 		}
 	}
 }

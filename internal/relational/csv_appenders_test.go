@@ -122,3 +122,40 @@ func TestReadCSVSizeHint(t *testing.T) {
 		}
 	}
 }
+
+// TestReadCSVSizeHintOvershoot loads a first batch of empty records
+// followed by long ones, so the first batch's estimate exceeds the
+// records by orders of magnitude: the loaded vectors must still hold
+// about as much room as they have rows, and the values must load.
+func TestReadCSVSizeHintOvershoot(t *testing.T) {
+	s := NewSchema("hint")
+	s.MustAddTable(MustTable("o",
+		Column{Name: "s", Type: String},
+		Column{Name: "ts", Type: Time},
+	))
+	const long = 2 * csvBatchRecords
+	var in strings.Builder
+	in.WriteString("s,ts\n")
+	for r := 0; r < csvBatchRecords; r++ {
+		in.WriteString(",\n")
+	}
+	pad := strings.Repeat("x", 500)
+	for r := 0; r < long; r++ {
+		fmt.Fprintf(&in, "%s%d,2024-01-02T03:04:05Z\n", pad, r)
+	}
+	db := NewDatabase(s)
+	if err := db.ReadCSV("o", strings.NewReader(in.String())); err != nil {
+		t.Fatal(err)
+	}
+	rows := csvBatchRecords + long
+	codes, times := db.Vector("o", "s").Codes(), db.Vector("o", "ts").Times()
+	if len(codes) != rows || len(times) != rows {
+		t.Fatalf("loaded %d/%d rows, want %d", len(codes), len(times), rows)
+	}
+	if got := db.Vector("o", "s").Value(rows - 1); got != fmt.Sprintf("%s%d", pad, long-1) {
+		t.Fatalf("last row s = %v", got)
+	}
+	if cap(codes) > rows*9/8 || cap(times) > rows*9/8 {
+		t.Errorf("capacities %d and %d for %d rows: the estimate's room outlived the load", cap(codes), cap(times), rows)
+	}
+}
